@@ -20,7 +20,6 @@ from .extremal import (
     AscentResult,
     ExtremalResult,
     closed_form_max,
-    criterion_product,
     maximizer,
     numerical_max,
     stationarity_residual,
@@ -35,6 +34,7 @@ from .geometry import (
     Vertex,
     canonical_vertex,
     criterion,
+    criterion_product,
     norms,
     project,
     shadow,
@@ -51,7 +51,6 @@ from .oracle import (
     AgreementStats,
     OracleVerdict,
     agreement_sweep,
-    annotate_orthogonality,
     any_vertex_inside,
     enumerate_shadows,
     enumerate_shadows_naive,
@@ -77,7 +76,6 @@ __all__ = [
     "UnitVector",
     "Vertex",
     "agreement_sweep",
-    "annotate_orthogonality",
     "any_vertex_inside",
     "canonical_vertex",
     "closed_form_max",

@@ -14,21 +14,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Any, Optional
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    DegenerateSample,
-    DimensionTooLarge,
-    InvalidDimension,
-    NonConvergence,
-)
+from .errors import DegenerateSample, DimensionTooLarge, NonConvergence
 from .extremal import (
     closed_form_max,
     maximizer,
@@ -36,7 +31,7 @@ from .extremal import (
     summarize,
     threshold_dimension,
 )
-from .geometry import UnitVector, criterion
+from .geometry import UnitVector, Vertex, criterion, l2_norm
 from .measure import estimate
 from .oracle import DEFAULT_LIMIT, enumerate_shadows
 
@@ -49,68 +44,63 @@ EXIT_DEGENERATE = 3
 EXIT_TOO_LARGE = 4
 EXIT_IO = 5
 
-CSV_HEADER = [
-    "n",
-    "samples",
-    "seed",
-    "frac_satisfying",
-    "mean",
-    "median",
-    "q05",
-    "q95",
-    "growth_ratio",
-]
+
+class _UsageError(Exception):
+    """Internal: arguments that parsed but make no sense."""
 
 
-class _CliFailure(Exception):
-    """Internal: carries an exit code and a message for stderr."""
+# First match wins: DimensionTooLarge is a ValueError, so it comes first.
+EXIT_CODES = (
+    (_UsageError, EXIT_USAGE),
+    (OSError, EXIT_IO),
+    (DimensionTooLarge, EXIT_TOO_LARGE),
+    ((ValueError, DegenerateSample), EXIT_DEGENERATE),
+    (NonConvergence, EXIT_FAILED),
+)
 
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+RECORD_KEYS = ("command", "params", "results", "elapsed_ms", "version", "seed")
+
+# measure rows and CSV columns use these shorter names
+_ROW_NAMES = {"mean_product": "mean", "median_product": "median"}
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """What a CLI invocation reports, in a stable key order."""
+def _plain(result) -> dict:
+    """A result dataclass as a JSON-ready dict, in field order."""
+    out = {}
+    for f in fields(result):
+        value = getattr(result, f.name)
+        if isinstance(value, Vertex):
+            value = value.signs.tolist()
+        elif isinstance(value, UnitVector):
+            value = value.coords.tolist()
+        out[f.name] = value
+    return out
 
-    command: str
-    params: dict
-    results: Any
-    elapsed_ms: float
-    version: str
-    seed: Optional[int]
 
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "params": self.params,
-            "results": self.results,
-            "elapsed_ms": self.elapsed_ms,
-            "version": self.version,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, separators=(",", ":"))
+def _count(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_floats(text: str) -> np.ndarray:
     parts = [p for p in text.replace(",", " ").split() if p]
     if not parts:
-        raise _CliFailure(EXIT_USAGE, "empty vector")
+        raise _UsageError("empty vector")
     try:
         return np.array([float(p) for p in parts], dtype=np.float64)
     except ValueError:
-        raise _CliFailure(EXIT_USAGE, f"could not parse vector {text!r}")
+        raise _UsageError(f"could not parse vector {text!r}")
 
 
 def _read_vec_file(path: str) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as exc:
-        raise _CliFailure(EXIT_IO, f"cannot read {path}: {exc}")
-    return _parse_floats(text)
+    with open(path, "r", encoding="utf-8") as f:
+        return _parse_floats(f.read())
 
 
 def _resolve_direction(args) -> tuple[UnitVector, dict]:
@@ -122,11 +112,15 @@ def _resolve_direction(args) -> tuple[UnitVector, dict]:
         if args.vec is not None
         else _read_vec_file(args.vec_file)
     )
-    input_l2 = float(np.linalg.norm(raw))
-    try:
-        u = UnitVector(raw)
-    except ValueError as exc:
-        raise _CliFailure(EXIT_DEGENERATE, str(exc))
+    u = UnitVector(raw)
+    with np.errstate(over="ignore"):
+        input_l2 = float(np.linalg.norm(raw))
+    if not 0.0 < input_l2 < math.inf:
+        # the squares overflowed or underflowed; JSON has no infinity, so a
+        # length beyond the float64 range is reported as null
+        input_l2 = l2_norm(raw)
+        if math.isinf(input_l2):
+            input_l2 = None
     return u, {"n": int(raw.size), "input_l2": input_l2}
 
 
@@ -134,14 +128,12 @@ def _resolve_limit(args) -> int:
     if args.limit is not None:
         return args.limit
     env = os.environ.get(ENV_ORACLE_LIMIT)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _CliFailure(
-                EXIT_USAGE, f"{ENV_ORACLE_LIMIT}={env!r} is not an integer"
-            )
-    return DEFAULT_LIMIT
+    if env is None:
+        return DEFAULT_LIMIT
+    try:
+        return _count(env)
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"{ENV_ORACLE_LIMIT}={env!r}: {exc}")
 
 
 def _add_direction_args(sub: argparse.ArgumentParser) -> None:
@@ -156,21 +148,14 @@ def _add_direction_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _cmd_check(args) -> RunRecord:
+def _cmd_check(args):
     u, params = _resolve_direction(args)
     params["margin"] = args.margin
     res = criterion(u, criterion_tol=-args.margin)
-    results = {
-        "n": u.n,
-        "product": res.product,
-        "satisfied": res.satisfied,
-        "witness": [int(s) for s in res.witness.signs],
-        "degenerate_zero_coords": res.degenerate_zero_coords,
-    }
-    return RunRecord("check", params, results, 0.0, __version__, None)
+    return "check", params, {"n": u.n, **_plain(res)}, None
 
 
-def _cmd_oracle(args) -> RunRecord:
+def _cmd_oracle(args):
     u, params = _resolve_direction(args)
     limit = _resolve_limit(args)
     params["limit"] = limit
@@ -178,17 +163,12 @@ def _cmd_oracle(args) -> RunRecord:
     crit = criterion(u)
     results = {
         "n": u.n,
-        "exists_inside": verdict.exists_inside,
-        "best_vertex": [int(s) for s in verdict.best_vertex.signs],
-        "best_inf_norm": verdict.best_inf_norm,
-        "vertices_checked": verdict.vertices_checked,
-        "orthogonal_vertex_found": verdict.orthogonal_vertex_found,
-        "min_abs_inner_product": verdict.min_abs_inner_product,
+        **_plain(verdict),
         "criterion_product": crit.product,
         "criterion_satisfied": crit.satisfied,
         "agree": crit.satisfied == verdict.exists_inside,
     }
-    return RunRecord("oracle", params, results, 0.0, __version__, None)
+    return "oracle", params, results, None
 
 
 def _parse_scan(text: str) -> tuple[int, int]:
@@ -196,13 +176,13 @@ def _parse_scan(text: str) -> tuple[int, int]:
         lo_s, hi_s = text.split("..")
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
-        raise _CliFailure(EXIT_USAGE, f"bad scan range {text!r}, want A..B")
+        raise _UsageError(f"bad scan range {text!r}, want A..B")
     if lo < 1 or hi < lo:
-        raise _CliFailure(EXIT_USAGE, f"bad scan range {text!r}")
+        raise _UsageError(f"bad scan range {text!r}")
     return lo, hi
 
 
-def _cmd_extremal(args) -> RunRecord:
+def _cmd_extremal(args):
     if args.scan is not None:
         lo, hi = _parse_scan(args.scan)
         rows = [
@@ -214,82 +194,56 @@ def _cmd_extremal(args) -> RunRecord:
             for n in range(lo, hi + 1)
         ]
         results = {"scan": rows, "threshold_dimension": threshold_dimension()}
-        return RunRecord(
-            "extremal", {"scan": args.scan}, results, 0.0, __version__, None
-        )
+        return "extremal", {"scan": args.scan}, results, None
 
     n = args.n
     summary = summarize(n)
-    results = {
-        "n": n,
-        "max_value": summary.max_value,
-        "maximizer": [float(c) for c in summary.maximizer.coords],
-        "achieved_value": summary.achieved_value,
-        "threshold_ok": summary.threshold_ok,
-    }
-    seed = None
-    if args.verify:
-        seed = args.seed
-        ascent = numerical_max(n, restarts=args.restarts, seed=args.seed)
-        results["numerical"] = {
-            "value": ascent.value,
-            "grad_norm": ascent.grad_norm,
-            "iterations": ascent.iterations,
-            "restarts_converged": ascent.restarts_converged,
-            "gap": summary.max_value - ascent.value,
-        }
+    results = _plain(summary)
     params = {"n": n, "verify": args.verify}
-    if args.verify:
-        params["restarts"] = args.restarts
-    return RunRecord("extremal", params, results, 0.0, __version__, seed)
+    if not args.verify:
+        return "extremal", params, results, None
+    params["restarts"] = args.restarts
+    ascent = numerical_max(n, restarts=args.restarts, seed=args.seed)
+    results["numerical"] = {
+        "value": ascent.value,
+        "grad_norm": ascent.grad_norm,
+        "iterations": ascent.iterations,
+        "restarts_converged": ascent.restarts_converged,
+        "gap": summary.max_value - ascent.value,
+    }
+    return "extremal", params, results, args.seed
 
 
 def _parse_dims(text: str) -> list[int]:
     try:
         dims = [int(p) for p in text.replace(",", " ").split() if p]
     except ValueError:
-        raise _CliFailure(EXIT_USAGE, f"could not parse dims {text!r}")
+        raise _UsageError(f"could not parse dims {text!r}")
     if not dims:
-        raise _CliFailure(EXIT_USAGE, "empty dims list")
+        raise _UsageError("empty dims list")
     return dims
 
 
 def _measure_row(est) -> dict:
-    return {
-        "n": est.n,
-        "samples": est.samples,
-        "seed": est.seed,
-        "frac_satisfying": est.frac_satisfying,
-        "mean": est.mean_product,
-        "median": est.median_product,
-        "q05": est.q05,
-        "q95": est.q95,
-        "growth_ratio": est.growth_ratio,
-    }
+    return {_ROW_NAMES.get(k, k): v for k, v in _plain(est).items()}
 
 
 def _write_csv(path: str, rows: list[dict]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            for row in rows:
-                writer.writerow(
-                    ["" if row[k] is None else row[k] for k in CSV_HEADER]
-                )
-    except OSError as exc:
-        raise _CliFailure(EXIT_IO, f"cannot write {path}: {exc}")
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(rows[0])
+        for row in rows:
+            writer.writerow(["" if v is None else v for v in row.values()])
 
 
-def _cmd_measure(args) -> RunRecord:
+def _cmd_measure(args):
     dims = _parse_dims(args.dims)
     rows = [_measure_row(estimate(n, args.samples, args.seed)) for n in dims]
-    if args.out is not None:
-        _write_csv(args.out, rows)
     params = {"dims": dims, "samples": args.samples}
     if args.out is not None:
+        _write_csv(args.out, rows)
         params["out"] = args.out
-    return RunRecord("measure", params, rows, 0.0, __version__, args.seed)
+    return "measure", params, rows, args.seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_direction_args(p_oracle)
     p_oracle.add_argument(
         "--limit",
-        type=int,
+        type=_count,
         default=None,
         help=f"dimension cap (default {DEFAULT_LIMIT}, env {ENV_ORACLE_LIMIT})",
     )
@@ -337,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="confirm the closed form by gradient ascent",
     )
-    p_ext.add_argument("--restarts", type=int, default=8)
+    p_ext.add_argument("--restarts", type=_count, default=8)
     p_ext.add_argument("--seed", type=int, default=0)
     p_ext.set_defaults(handler=_cmd_extremal)
 
@@ -347,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument(
         "--dims", required=True, help="comma separated dimensions"
     )
-    p_measure.add_argument("--samples", type=int, default=10_000)
+    p_measure.add_argument("--samples", type=_count, default=10_000)
     p_measure.add_argument("--seed", type=int, default=0)
     p_measure.add_argument("--out", help="also write the rows to a CSV file")
     p_measure.set_defaults(handler=_cmd_measure)
@@ -364,33 +318,17 @@ def main(argv=None) -> int:
 
     t0 = time.perf_counter()
     try:
-        record = args.handler(args)
-    except _CliFailure as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return exc.code
-    except DimensionTooLarge as exc:
+        command, params, results, seed = args.handler(args)
+    except Exception as exc:
+        code = next((c for kind, c in EXIT_CODES if isinstance(exc, kind)), None)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except (InvalidDimension, DegenerateSample) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        return code
 
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    record = RunRecord(
-        record.command,
-        record.params,
-        record.results,
-        elapsed_ms,
-        record.version,
-        record.seed,
-    )
-    print(record.to_json())
+    values = (command, params, results, elapsed_ms, __version__, seed)
+    print(json.dumps(dict(zip(RECORD_KEYS, values)), separators=(",", ":")))
     return EXIT_OK
 
 

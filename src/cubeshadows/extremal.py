@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension, NonConvergence
-from .geometry import UnitVector, norms
+from .geometry import UnitVector, criterion_product
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,10 +67,12 @@ def maximizer(n: int) -> UnitVector:
     return UnitVector(coords)
 
 
-def criterion_product(u: UnitVector) -> float:
-    """The quantity being maximized: l1 norm times sup norm."""
-    m = norms(u)
-    return m.l1 * m.linf
+def _tangent_gradient(w: np.ndarray, j: int, total: float) -> np.ndarray:
+    # Riemannian gradient of w_j * (w_0 + ... + w_{n-1}) on the sphere;
+    # total is that coordinate sum, rounded however the caller needs
+    grad = np.full(w.size, w[j])
+    grad[j] += total
+    return grad - float(grad @ w) * w
 
 
 def stationarity_residual(u: UnitVector) -> float:
@@ -81,10 +83,7 @@ def stationarity_residual(u: UnitVector) -> float:
     w_j * (w_0 + ... + w_{n-1}) on the sphere. Zero at the maximizer.
     """
     w = np.abs(u.coords)
-    j = int(np.argmax(w))
-    grad = np.full(u.n, w[j])
-    grad[j] += math.fsum(w)
-    rg = grad - float(grad @ w) * w
+    rg = _tangent_gradient(w, int(np.argmax(w)), math.fsum(w))
     return float(np.linalg.norm(rg))
 
 
@@ -105,6 +104,8 @@ def numerical_max(
     """
     if n < 1:
         raise InvalidDimension(f"need n >= 1, got n={n}")
+    if restarts < 1:
+        raise ValueError(f"need restarts >= 1, got {restarts}")
     step = 0.1 / math.sqrt(n)
 
     best = None  # best converged restart: (value, point, gn, iters)
@@ -120,9 +121,7 @@ def numerical_max(
         gn = np.inf
         it = 0
         for it in range(max_iters):
-            grad = np.full(n, w[0])
-            grad[0] += float(np.sum(w))
-            rg = grad - float(grad @ w) * w
+            rg = _tangent_gradient(w, 0, float(np.sum(w)))
             gn = float(np.linalg.norm(rg))
             if gn <= grad_tol:
                 break

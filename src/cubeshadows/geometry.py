@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,13 +34,31 @@ def _exact_l2(values) -> float:
     return math.sqrt(math.fsum(float(x) * float(x) for x in values))
 
 
+def _pow2_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    # Dividing by a power of two is exact. Bringing max|v| into [0.5, 1)
+    # keeps the squares summed afterwards clear of overflow and underflow
+    # over the whole float64 range.
+    e = math.frexp(float(np.max(np.abs(v))))[1]
+    return np.ldexp(v, -e), e
+
+
+def l2_norm(v: np.ndarray) -> float:
+    """Exactly rounded Euclidean norm of a finite vector, computed without
+    intermediate overflow or underflow; inf only if the norm itself lies
+    beyond the float64 range."""
+    w, e = _pow2_scaled(np.asarray(v, dtype=np.float64))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(_exact_l2(w.tolist()), e))
+
+
 @dataclass(frozen=True, eq=False)
 class UnitVector:
     """A direction on the unit sphere; construction normalizes.
 
     Accepts any finite nonzero vector and divides by its Euclidean norm,
     so raw Gaussian samples can be passed directly. Rejects only the
-    zero vector and non-finite entries.
+    zero vector and non-finite entries. Scaling the input by a power of
+    two leaves the result unchanged, bit for bit.
     """
 
     coords: np.ndarray
@@ -51,6 +69,7 @@ class UnitVector:
             raise DimensionMismatch("expected a 1-d vector with n >= 1")
         if not np.all(np.isfinite(v)):
             raise ValueError("coordinates must be finite")
+        v, _ = _pow2_scaled(v)
         norm = _exact_l2(v.tolist())
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
@@ -102,7 +121,6 @@ class CriterionResult:
     satisfied: bool
     witness: Vertex
     degenerate_zero_coords: bool
-    near_vertex_orthogonal: Optional[bool] = None
 
 
 class Norms(NamedTuple):
@@ -123,6 +141,16 @@ def norms(u: UnitVector) -> Norms:
     l2 = _exact_l2(u.coords.tolist())
     linf = float(a.max())
     return Norms(l1, l2, linf)
+
+
+def criterion_product(u: UnitVector) -> float:
+    """||u||_1 * ||u||_inf, the decision quantity of the criterion.
+
+    The l1 sum is exactly rounded, so permuting or sign-flipping the
+    coordinates cannot change the product, not even in the last bit.
+    """
+    a = np.abs(u.coords)
+    return math.fsum(a.tolist()) * float(a.max())
 
 
 def project(u: UnitVector, x: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -193,16 +221,11 @@ def criterion(
     shadow stays inside, and when it fails no vertex lands inside. The
     threshold is inclusive; pass a negative criterion_tol to shave the
     boundary off in statistical runs.
-
-    near_vertex_orthogonal is left unset here; the oracle module can
-    fill it after running its detector.
     """
-    l1, _, linf = norms(u)
-    product = l1 * linf
+    product = criterion_product(u)
     return CriterionResult(
         product=product,
         satisfied=bool(product <= 2.0 + criterion_tol),
         witness=canonical_vertex(u, zero_tol),
         degenerate_zero_coords=bool(np.min(np.abs(u.coords)) <= zero_tol),
-        near_vertex_orthogonal=None,
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge
-from .geometry import INSIDE_TOL, CriterionResult, UnitVector, Vertex, criterion
+from .geometry import INSIDE_TOL, UnitVector, Vertex, criterion
 from .measure import sample_sphere
 
 QUANT_BITS = 48
@@ -99,12 +99,28 @@ def _block_inner_products(uq: np.ndarray, i0: int, i1: int, n: int):
     return g, e, s
 
 
-def enumerate_shadows(
-    u: UnitVector,
-    n_limit: int = DEFAULT_LIMIT,
-    block_bits: int = BLOCK_BITS,
-    ortho_tol: float = ORTHO_TOL,
-) -> OracleVerdict:
+def _blocks(u: UnitVector, n_limit: int, shadows: bool = True):
+    """Walk all 2^n vertices of the snapped direction, BLOCK_BITS at a time.
+
+    Yields (gray codes, signed sums <eps, u>, shadow sup-norms) for each
+    block; the sup-norms are None when shadows is false. Every oracle
+    reduction runs over this one walk.
+    """
+    n = u.n
+    if n > n_limit:
+        raise DimensionTooLarge(n, n_limit)
+    uq = _snap(u.coords)
+    total = 1 << n
+    block = 1 << min(BLOCK_BITS, n)
+    for i0 in range(0, total, block):
+        g, e, s = _block_inner_products(uq, i0, min(i0 + block, total), n)
+        infs = None
+        if shadows:
+            infs = np.max(np.abs(e - s[:, None] * uq[None, :]), axis=1)
+        yield g, s, infs
+
+
+def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerdict:
     """Check all 2^n vertices and report the best shadow found.
 
     Ties in the minimal sup-norm are broken by the lexicographically
@@ -112,21 +128,10 @@ def enumerate_shadows(
     reduction over vertices, so it is identical for any block size.
     """
     n = u.n
-    if n > n_limit:
-        raise DimensionTooLarge(n, n_limit)
-    uq = _snap(u.coords)
-    total = 1 << n
-    block = 1 << min(block_bits, n)
-
     best_inf = np.inf
     best_code = None
     min_abs_ip = np.inf
-    for i0 in range(0, total, block):
-        i1 = min(i0 + block, total)
-        g, e, s = _block_inner_products(uq, i0, i1, n)
-        shadows = e - s[:, None] * uq[None, :]
-        infs = np.max(np.abs(shadows), axis=1)
-
+    for g, s, infs in _blocks(u, n_limit):
         bmin = float(infs.min())
         if bmin <= best_inf:
             code = int(_lex_codes(g[infs == bmin], n).min())
@@ -140,8 +145,8 @@ def enumerate_shadows(
         exists_inside=bool(best_inf <= 1.0 + INSIDE_TOL),
         best_vertex=_vertex_from_code(best_code, n),
         best_inf_norm=best_inf,
-        vertices_checked=total,
-        orthogonal_vertex_found=bool(min_abs_ip <= ortho_tol),
+        vertices_checked=1 << n,
+        orthogonal_vertex_found=bool(min_abs_ip <= ORTHO_TOL),
         min_abs_inner_product=min_abs_ip,
     )
 
@@ -182,41 +187,19 @@ def enumerate_shadows_naive(u: UnitVector, n_limit: int = 20) -> OracleVerdict:
     )
 
 
-def any_vertex_inside(
-    u: UnitVector, n_limit: int = DEFAULT_LIMIT, block_bits: int = BLOCK_BITS
-) -> bool:
+def any_vertex_inside(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> bool:
     """Boolean-only query with early exit once an inside vertex appears."""
-    n = u.n
-    if n > n_limit:
-        raise DimensionTooLarge(n, n_limit)
-    uq = _snap(u.coords)
-    total = 1 << n
-    block = 1 << min(block_bits, n)
-    for i0 in range(0, total, block):
-        i1 = min(i0 + block, total)
-        g, e, s = _block_inner_products(uq, i0, i1, n)
-        shadows = e - s[:, None] * uq[None, :]
-        if float(np.min(np.max(np.abs(shadows), axis=1))) <= 1.0 + INSIDE_TOL:
-            return True
-    return False
+    return any(
+        float(infs.min()) <= 1.0 + INSIDE_TOL for _, _, infs in _blocks(u, n_limit)
+    )
 
 
-def min_abs_inner_product(
-    u: UnitVector, n_limit: int = DEFAULT_LIMIT, block_bits: int = BLOCK_BITS
-) -> float:
+def min_abs_inner_product(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> float:
     """Smallest |<eps, u>| over all sign vectors eps, computed exactly
     on the snapped direction. Skips the per-vertex shadow work."""
-    n = u.n
-    if n > n_limit:
-        raise DimensionTooLarge(n, n_limit)
-    uq = _snap(u.coords)
-    total = 1 << n
-    block = 1 << min(block_bits, n)
-    out = np.inf
-    for i0 in range(0, total, block):
-        _, _, s = _block_inner_products(uq, i0, min(i0 + block, total), n)
-        out = min(out, float(np.min(np.abs(s))))
-    return out
+    return min(
+        float(np.min(np.abs(s))) for _, s, _ in _blocks(u, n_limit, shadows=False)
+    )
 
 
 def is_orthogonal_to_some_vertex(
@@ -229,20 +212,6 @@ def is_orthogonal_to_some_vertex(
     callers use this to flag results rather than trust them.
     """
     return min_abs_inner_product(u, n_limit) <= tol
-
-
-def annotate_orthogonality(
-    result: CriterionResult,
-    u: UnitVector,
-    tol: float = SKIP_TOL,
-    n_limit: int = DEFAULT_LIMIT,
-) -> CriterionResult:
-    """Return a copy of a criterion result with the degeneracy flag set."""
-    from dataclasses import replace
-
-    return replace(
-        result, near_vertex_orthogonal=is_orthogonal_to_some_vertex(u, tol, n_limit)
-    )
 
 
 def agreement_sweep(

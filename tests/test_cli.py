@@ -218,3 +218,31 @@ class TestExitCodes:
 
     def test_help_exits_cleanly(self):
         assert run_cli("--help").returncode == 0
+
+    @pytest.mark.parametrize(
+        "args, env",
+        [
+            (("extremal", "-n", "5", "--verify", "--restarts", "0"), None),
+            (("measure", "--dims", "4", "--samples", "0"), None),
+            (("oracle", "--maximizer", "5", "--limit", "-1"), None),
+            (("oracle", "--maximizer", "5", "--limit", "0"), None),
+            (("oracle", "--maximizer", "5"), {"SHADOWS_ORACLE_LIMIT": "0"}),
+        ],
+    )
+    def test_counts_below_one_are_usage_errors(self, args, env):
+        proc = run_cli(*args, env_extra=env)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    def test_extreme_magnitudes_give_the_true_verdict(self):
+        # the squares of these coordinates overflow or underflow float64
+        for vec in ("1e308,1e308", "1e-200,1e-200"):
+            proc = run_cli("check", "--vec", vec)
+            rec = json.loads(proc.stdout, parse_constant=pytest.fail)
+            assert proc.returncode == 0 and proc.stderr == ""
+            assert rec["params"]["input_l2"] == pytest.approx(
+                math.sqrt(2.0) * float(vec.split(",")[0]), rel=1e-15
+            )
+            assert rec["results"]["product"] == pytest.approx(1.0, abs=1e-15)
+            assert rec["results"]["satisfied"] is True
+            assert rec["results"]["degenerate_zero_coords"] is False

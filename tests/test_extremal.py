@@ -121,6 +121,10 @@ class TestNumericalMax:
         with pytest.raises(InvalidDimension):
             numerical_max(0)
 
+    def test_rejects_zero_restarts(self):
+        with pytest.raises(ValueError, match="restarts"):
+            numerical_max(5, restarts=0)
+
 
 class TestUpperBoundProperty:
     def test_random_directions_never_beat_the_maximum(self):

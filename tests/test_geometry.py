@@ -13,11 +13,21 @@ from cubeshadows.geometry import (
     Vertex,
     canonical_vertex,
     criterion,
+    criterion_product,
     norms,
     project,
     shadow,
     shadow_norm_closed_form,
 )
+
+# coordinates that survive scaling by 2^-1000 exactly (no subnormals)
+scalable_lists = st.lists(
+    st.floats(min_value=-10.0, max_value=10.0).filter(
+        lambda x: x == 0.0 or abs(x) >= 2.0**-20
+    ),
+    min_size=1,
+    max_size=24,
+).filter(any)
 
 coord_lists = st.lists(
     st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
@@ -74,6 +84,21 @@ class TestUnitVector:
         assert abs(sq - 1.0) < 1e-14
 
 
+    @given(scalable_lists)
+    def test_power_of_two_scaling_changes_no_bit(self, xs):
+        v = np.array(xs)
+        ref = UnitVector(v).coords
+        for k in (1000, -1000):
+            assert UnitVector(2.0**k * v).coords.tobytes() == ref.tobytes()
+
+    def test_extreme_magnitudes_neither_overflow_nor_underflow(self):
+        for scale in (1e308, 1e-200, 5e-324):
+            u = UnitVector(np.array([scale, scale]))
+            assert u.coords == pytest.approx([math.sqrt(0.5)] * 2, abs=1e-15)
+            assert criterion(u).product == pytest.approx(1.0, abs=1e-15)
+            assert not criterion(u).degenerate_zero_coords
+
+
 class TestVertex:
     def test_accepts_only_unit_signs(self):
         v = Vertex(np.array([1, -1, 1], dtype=np.int8))
@@ -100,6 +125,15 @@ class TestNorms:
         a = norms(UnitVector(np.array(xs)))
         b = norms(UnitVector(np.array(ys)))
         assert (a.l1, a.l2, a.linf) == (b.l1, b.l2, b.linf)
+
+
+class TestCriterionProduct:
+    @given(coord_lists)
+    def test_is_the_l1_norm_times_the_sup_norm_bitwise(self, xs):
+        u = UnitVector(np.array(xs))
+        m = norms(u)
+        assert criterion_product(u) == m.l1 * m.linf
+        assert criterion(u).product == criterion_product(u)
 
 
 class TestProject:
@@ -185,7 +219,6 @@ class TestCriterion:
         assert res.satisfied
         assert res.witness.signs.tolist() == [1, 1]
         assert not res.degenerate_zero_coords
-        assert res.near_vertex_orthogonal is None
 
     def test_zero_coordinate_is_flagged(self):
         assert criterion(u_of(1.0, 0.0)).degenerate_zero_coords
