@@ -47,6 +47,6 @@ t_fast = time.perf_counter() - t0
 t0 = time.perf_counter()
 slow = enumerate_shadows_naive(u)
 t_slow = time.perf_counter() - t0
-print(f"  gray-walk kernel: {t_fast:.3f}s, naive loop: {t_slow:.3f}s "
+print(f"  meet-in-the-middle kernel: {t_fast:.3f}s, naive loop: {t_slow:.3f}s "
       f"({t_slow / t_fast:.0f}x)")
 print(f"  identical verdicts: {fast.best_inf_norm == slow.best_inf_norm}")

@@ -77,15 +77,21 @@ def _plain(result) -> dict:
     return out
 
 
-def _count(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
+def _count(text: str, low: int = 1, high: float = math.inf) -> int:
+    """argparse type for ints in [low, high]; counts must be at least 1."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if not low <= value <= high:
+        bound = f"at least {low}" if value < low else f"at most {high}"
+        raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
     return value
+
+
+def _seed(text: str) -> int:
+    """argparse type for seeds, which key Philox as unsigned 64-bit ints."""
+    return _count(text, 0, 2**64 - 1)
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -115,9 +121,9 @@ def _resolve_direction(args) -> tuple[UnitVector, dict]:
     u = UnitVector(raw)
     with np.errstate(over="ignore"):
         input_l2 = float(np.linalg.norm(raw))
-    if not 0.0 < input_l2 < math.inf:
-        # the squares overflowed or underflowed; JSON has no infinity, so a
-        # length beyond the float64 range is reported as null
+    if not 0.0 < input_l2 < math.inf or np.max(np.abs(raw)) < 2.0**-511:
+        # the squares overflowed, or are all subnormal and lost digits; JSON
+        # has no infinity, so a length beyond the float64 range is null
         input_l2 = l2_norm(raw)
         if math.isinf(input_l2):
             input_l2 = None
@@ -150,6 +156,8 @@ def _add_direction_args(sub: argparse.ArgumentParser) -> None:
 
 def _cmd_check(args):
     u, params = _resolve_direction(args)
+    if not math.isfinite(args.margin):
+        raise _UsageError(f"margin must be finite, got {args.margin}")
     params["margin"] = args.margin
     res = criterion(u, criterion_tol=-args.margin)
     return "check", params, {"n": u.n, **_plain(res)}, None
@@ -292,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="confirm the closed form by gradient ascent",
     )
     p_ext.add_argument("--restarts", type=_count, default=8)
-    p_ext.add_argument("--seed", type=int, default=0)
+    p_ext.add_argument("--seed", type=_seed, default=0)
     p_ext.set_defaults(handler=_cmd_extremal)
 
     p_measure = sub.add_parser(
@@ -302,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dims", required=True, help="comma separated dimensions"
     )
     p_measure.add_argument("--samples", type=_count, default=10_000)
-    p_measure.add_argument("--seed", type=int, default=0)
+    p_measure.add_argument("--seed", type=_seed, default=0)
     p_measure.add_argument("--out", help="also write the rows to a CSV file")
     p_measure.set_defaults(handler=_cmd_measure)
 

@@ -1,14 +1,22 @@
 """Exhaustive ground truth over all 2^n cube vertices.
 
-The enumeration walks sign vectors in Gray-code order, so the signed sum
-<eps, u> changes by a single +-2 u_k per step. To make that walk immune
-to accumulation drift, the direction is first snapped to a dyadic grid
-with 48 fractional bits: every signed sum of snapped coordinates is then
-an integer multiple of 2^-48 well below 2^53 and therefore exact in
-float64. Every enumeration order, block split, and the naive reference
-consequently produce bit-identical verdicts. The snap moves each
-coordinate by at most 2^-49, which is orders of magnitude below every
-tolerance used here.
+The direction is first snapped to a dyadic grid with 48 fractional bits,
+which moves each coordinate by at most 2^-49. Every signed sum <eps, u>
+is then a multiple of 2^-48 of size at most sqrt(n) + n 2^-49, below 2^3
+for n <= 28, so it is exact in float64 in any summation order. (Sums stay
+exact while that size is below 2^5, up to n = 1023: DEFAULT_LIMIT bounds
+running time, not exactness.) Every split and the naive reference
+therefore give bit-identical verdicts.
+
+The enumeration meets in the middle (Horowitz and Sahni, JACM 1974). With
+t_k = eps_k u_k and s = sum t_k, |eps_k - s u_k| = |1 - s t_k|, and
+t -> fl(1 - fl(s t)) is monotone, so the shadow sup-norm is attained at
+max t_k or min t_k, bit for bit. Each half, A = u[:n//2] and B =
+u[n//2:], tabulates (s, t_max, t_min) over its sign patterns. A vertex is
+a pair of rows, combined with O(1) work, and min |<eps, u>| is a sorted
+merge of the two sum tables. Rows are in lexicographic order (+1 before
+-1), so pair (a, b) has rank a 2^|B| + b and a row-major scan meets tied
+vertices in tie-rule order.
 """
 
 from __future__ import annotations
@@ -23,9 +31,10 @@ from .measure import sample_sphere
 
 QUANT_BITS = 48
 DEFAULT_LIMIT = 28
-BLOCK_BITS = 16
+BLOCK_BITS = 14
 ORTHO_TOL = 1e-12
 SKIP_TOL = 1e-9
+_NEIGHBOURS = np.array([1, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,93 +68,75 @@ def _snap(coords: np.ndarray) -> np.ndarray:
     return q
 
 
-def _signs_from_gray(g: np.ndarray, n: int) -> np.ndarray:
-    # bit k of the Gray code set means coordinate k is -1
-    bits = (g[:, None] >> np.arange(n, dtype=np.int64)) & 1
-    return 1.0 - 2.0 * bits.astype(np.float64)
-
-
-def _lex_codes(g: np.ndarray, n: int) -> np.ndarray:
-    # rank of the sign pattern in lexicographic order with +1 before -1;
-    # coordinate 0 is the most significant position
-    bits = (g[:, None] >> np.arange(n, dtype=np.int64)) & 1
-    weights = np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))
-    return bits @ weights
-
 def _vertex_from_code(code: int, n: int) -> Vertex:
     bits = (code >> np.arange(n - 1, -1, -1, dtype=np.int64)) & 1
     return Vertex((1 - 2 * bits).astype(np.int8))
 
 
-def _block_inner_products(uq: np.ndarray, i0: int, i1: int, n: int):
-    """Gray codes and signed sums for vertex indices [i0, i1).
-
-    The block head is summed from scratch; each later entry applies one
-    +-2 u_k update, accumulated with cumsum. On snapped coordinates all
-    of it is exact, so the result does not depend on the block split.
-    """
-    idx = np.arange(i0, i1, dtype=np.int64)
-    g = idx ^ (idx >> 1)
-    e = _signs_from_gray(g, n)
-    s = np.empty(i1 - i0, dtype=np.float64)
-    s[0] = float(e[0] @ uq)
-    if i1 - i0 > 1:
-        steps = idx[1:]
-        low = steps & -steps
-        k = np.frexp(low.astype(np.float64))[1] - 1  # trailing zeros, exact
-        flipped_to = (g[1:] >> k) & 1
-        deltas = 2.0 * uq[k] * (1.0 - 2.0 * flipped_to.astype(np.float64))
-        s[1:] = s[0] + np.cumsum(deltas)
-    return g, e, s
-
-
-def _blocks(u: UnitVector, n_limit: int, shadows: bool = True):
-    """Walk all 2^n vertices of the snapped direction, BLOCK_BITS at a time.
-
-    Yields (gray codes, signed sums <eps, u>, shadow sup-norms) for each
-    block; the sup-norms are None when shadows is false. Every oracle
-    reduction runs over this one walk.
-    """
+def _tables(u: UnitVector, n_limit: int):
+    """(s, t_max, t_min) for every sign pattern of each half of the snapped
+    direction. Row a of a half of size h sets its coordinate k to -1 when
+    bit (h-1-k) of a is set; an empty half is the row (0, -inf, +inf)."""
     n = u.n
     if n > n_limit:
         raise DimensionTooLarge(n, n_limit)
     uq = _snap(u.coords)
-    total = 1 << n
-    block = 1 << min(BLOCK_BITS, n)
-    for i0 in range(0, total, block):
-        g, e, s = _block_inner_products(uq, i0, min(i0 + block, total), n)
-        infs = None
-        if shadows:
-            infs = np.max(np.abs(e - s[:, None] * uq[None, :]), axis=1)
-        yield g, s, infs
+    h, w = n // 2, n - n // 2
+    bits = (np.arange(1 << w)[:, None] >> np.arange(w - 1, -1, -1)) & 1
+    signs = 1.0 - 2.0 * bits  # half A's patterns: first 2^h rows, last h columns
+    halves = (signs[: 1 << h, w - h :] * uq[:h], signs * uq[h:])
+    return [
+        (t.sum(axis=1), t.max(axis=1, initial=-np.inf), t.min(axis=1, initial=np.inf))
+        for t in halves
+    ]
+
+
+def _min_abs_sum(sa: np.ndarray, sb: np.ndarray) -> float:
+    """min |a + b| over a in sa, b in sb, exactly: each a meets the two
+    neighbours of -a in sb, sorted and padded with -inf and +inf."""
+    sb = np.sort(np.append(sb, (-np.inf, np.inf)))
+    j = np.searchsorted(sb, -sa)[:, None] - _NEIGHBOURS
+    return float(np.abs(sa[:, None] + sb[j]).min())
+
+
+def _blocks(tables):
+    """Yields (first A-row, shadow sup-norms of its pairs) for chunks of
+    at least one A-row and about 2^BLOCK_BITS pairs. Every shadow
+    reduction runs over this one loop."""
+    (sa, hia, loa), (sb, hib, lob) = tables
+    rows = max(1, (1 << BLOCK_BITS) // sb.size)
+    for a0 in range(0, sa.size, rows):
+        r = slice(a0, a0 + rows)
+        s = sa[r, None] + sb
+        hi = np.maximum(hia[r, None], hib)
+        lo = np.minimum(loa[r, None], lob)
+        for t in (hi, lo):  # |1 - s t| in place
+            np.abs(np.subtract(1.0, np.multiply(s, t, out=t), out=t), out=t)
+        yield a0, np.maximum(hi, lo, out=hi)
 
 
 def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerdict:
     """Check all 2^n vertices and report the best shadow found.
 
     Ties in the minimal sup-norm are broken by the lexicographically
-    smallest sign pattern (+1 sorts before -1). The verdict is a pure
-    reduction over vertices, so it is identical for any block size.
+    smallest sign pattern (+1 sorts before -1): chunks come in that order
+    and argmin keeps the first of equal values, so the verdict is
+    identical for any chunk size.
     """
-    n = u.n
+    (sa, _, _), (sb, _, _) = tables = _tables(u, n_limit)
     best_inf = np.inf
     best_code = None
-    min_abs_ip = np.inf
-    for g, s, infs in _blocks(u, n_limit):
-        bmin = float(infs.min())
-        if bmin <= best_inf:
-            code = int(_lex_codes(g[infs == bmin], n).min())
-            if bmin < best_inf:
-                best_inf, best_code = bmin, code
-            elif code < best_code:
-                best_code = code
-        min_abs_ip = min(min_abs_ip, float(np.min(np.abs(s))))
+    for a0, infs in _blocks(tables):
+        i = int(np.argmin(infs))
+        if infs.flat[i] < best_inf:
+            best_inf, best_code = float(infs.flat[i]), a0 * sb.size + i
+    min_abs_ip = _min_abs_sum(sa, sb)
 
     return OracleVerdict(
         exists_inside=bool(best_inf <= 1.0 + INSIDE_TOL),
-        best_vertex=_vertex_from_code(best_code, n),
+        best_vertex=_vertex_from_code(best_code, u.n),
         best_inf_norm=best_inf,
-        vertices_checked=1 << n,
+        vertices_checked=1 << u.n,
         orthogonal_vertex_found=bool(min_abs_ip <= ORTHO_TOL),
         min_abs_inner_product=min_abs_ip,
     )
@@ -189,17 +180,15 @@ def enumerate_shadows_naive(u: UnitVector, n_limit: int = 20) -> OracleVerdict:
 
 def any_vertex_inside(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> bool:
     """Boolean-only query with early exit once an inside vertex appears."""
-    return any(
-        float(infs.min()) <= 1.0 + INSIDE_TOL for _, _, infs in _blocks(u, n_limit)
-    )
+    blocks = _blocks(_tables(u, n_limit))
+    return any(float(infs.min()) <= 1.0 + INSIDE_TOL for _, infs in blocks)
 
 
 def min_abs_inner_product(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> float:
     """Smallest |<eps, u>| over all sign vectors eps, computed exactly
-    on the snapped direction. Skips the per-vertex shadow work."""
-    return min(
-        float(np.min(np.abs(s))) for _, s, _ in _blocks(u, n_limit, shadows=False)
-    )
+    on the snapped direction by a sorted merge of the half sums."""
+    (sa, _, _), (sb, _, _) = _tables(u, n_limit)
+    return _min_abs_sum(sa, sb)
 
 
 def is_orthogonal_to_some_vertex(

@@ -131,7 +131,7 @@ def test_criterion_7_full_enumeration_is_fast_enough():
     assert a.best_inf_norm == b.best_inf_norm
     print(
         f"\nn=24 full enumeration: {gray_24:.2f}s; "
-        f"n=20 gray {gray_20:.2f}s vs naive {naive_20:.2f}s "
+        f"n=20 meet-in-the-middle {gray_20:.2f}s vs naive {naive_20:.2f}s "
         f"({naive_20 / max(gray_20, 1e-9):.1f}x)"
     )
 

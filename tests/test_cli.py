@@ -1,14 +1,21 @@
 """Command line behavior: JSON records, CSV schema, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubeshadows
+from cubeshadows.cli import main
 
 RECORD_KEYS = ["command", "params", "results", "elapsed_ms", "version", "seed"]
 CSV_HEADER = "n,samples,seed,frac_satisfying,mean,median,q05,q95,growth_ratio"
@@ -25,6 +32,19 @@ def run_cli(*args, env_extra=None):
         text=True,
         env=env,
     )
+
+
+def run_main(argv):
+    """cli.main in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def strict_json(text):
+    """Parse JSON, rejecting NaN and Infinity, which JSON does not have."""
+    return json.loads(text, parse_constant=pytest.fail)
 
 
 def record_of(proc):
@@ -246,3 +266,124 @@ class TestExitCodes:
             assert rec["results"]["product"] == pytest.approx(1.0, abs=1e-15)
             assert rec["results"]["satisfied"] is True
             assert rec["results"]["degenerate_zero_coords"] is False
+
+    def test_input_length_is_exact_when_every_square_is_subnormal(self):
+        code, out, _ = run_main(["check", "--vec", "1e-160,3e-160"])
+        assert code == 0
+        l2 = strict_json(out)["params"]["input_l2"]
+        assert l2 == 3.162277660168379e-160
+        assert l2 == pytest.approx(math.sqrt(10.0) * 1e-160, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("measure", "--dims", "3", "--samples", "2", "--seed", "-1"),
+            ("extremal", "-n", "3", "--verify", "--seed", str(2**64)),
+            ("check", "--vec", "1,2", "--margin", "nan"),
+            ("check", "--vec", "1,2", "--margin", "-inf"),
+        ],
+    )
+    def test_out_of_range_seeds_and_margins_are_usage_errors(self, args):
+        code, out, err = run_main(args)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+
+    def test_largest_seed_is_accepted(self):
+        code, out, _ = run_main(
+            ["measure", "--dims", "3", "--samples", "2", "--seed", str(2**64 - 1)]
+        )
+        assert code == 0
+        assert strict_json(out)["seed"] == 2**64 - 1
+
+
+# a single token of --vec, --margin and friends: floats of every
+# magnitude (nan, inf and subnormals included) and malformed text
+NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["", " ", "x", "0x10", "1e400", "-0", "1e-320"]),
+)
+# at most 16 coordinates, so an oracle run stays below 2^16 vertices
+VECTOR = st.lists(NUMBER, max_size=16).map(",".join)
+SMALL_INT = st.one_of(st.integers(-2, 64).map(str), st.sampled_from(["", "x", "1.5"]))
+SEED = st.one_of(
+    st.integers(-2, 5).map(str),
+    st.sampled_from(["x", str(2**64 - 1), str(2**64)]),
+)
+
+
+def optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def cli_argv(tmp):
+    """argv built from the documented subcommands and flags."""
+    files = [str(tmp / name) for name in ("good", "bad", "empty", "missing")]
+    vec = st.one_of(
+        VECTOR.map(lambda v: ["--vec", v]),
+        VECTOR.map(lambda v: ["--vec=" + v]),
+        st.sampled_from(files).map(lambda f: ["--vec-file", f]),
+        # dimensions above 16 only where the oracle's cap rejects them:
+        # --limit stays at 16 or below
+        st.one_of(st.integers(-2, 16), st.sampled_from([29, 1000]))
+        .map(str)
+        .map(lambda n: ["--maximizer", n]),
+    )
+    scan = st.one_of(
+        st.tuples(st.integers(-2, 40), st.integers(-2, 40)).map(
+            "{0[0]}..{0[1]}".format
+        ),
+        st.sampled_from(["", "5", "..", "a..b", "1..2..3"]),
+    )
+    dims = st.one_of(
+        st.lists(st.integers(-1, 64).map(str), max_size=3).map(",".join),
+        st.sampled_from(["x", "1.5", "1e3"]),
+    )
+    counts = st.one_of(st.integers(-1, 4).map(str), st.sampled_from(["", "x"]))
+    out = st.sampled_from([str(tmp / "out.csv"), str(tmp / "missing" / "out.csv")])
+    check = st.tuples(st.just(["check"]), vec, optional("--margin", NUMBER))
+    limit = st.one_of(st.integers(-2, 16).map(str), st.sampled_from(["", "x", "1.5"]))
+    oracle = st.tuples(st.just(["oracle"]), vec, optional("--limit", limit))
+    extremal = st.tuples(
+        st.just(["extremal"]),
+        st.one_of(
+            SMALL_INT.map(lambda n: ["-n", n]), scan.map(lambda s: ["--scan", s])
+        ),
+        st.sampled_from([[], ["--verify"]]),
+        optional("--restarts", counts),
+        optional("--seed", SEED),
+    )
+    measure = st.tuples(
+        st.just(["measure"]),
+        optional("--dims", dims),
+        st.one_of(st.integers(1, 20).map(str), counts).map(lambda s: ["--samples", s]),
+        optional("--seed", SEED),
+        optional("--out", out),
+    )
+    junk = st.sampled_from(
+        [[], ["--help"], ["check", "--help"], ["bogus"], ["check"], ["--vec", "1"]]
+    )
+    return st.one_of(check, oracle, extremal, measure, junk.map(lambda a: [a])).map(
+        lambda parts: [arg for part in parts for arg in part]
+    )
+
+
+class TestFuzz:
+    def test_every_argv_ends_in_a_documented_exit_code(self):
+        with tempfile.TemporaryDirectory() as d:
+            tmp = Path(d)
+            (tmp / "good").write_text("1 -2 3", encoding="utf-8")
+            (tmp / "bad").write_text("1 two", encoding="utf-8")
+            (tmp / "empty").write_text("", encoding="utf-8")
+
+            @settings(max_examples=300)
+            @given(cli_argv(tmp))
+            def run(argv):
+                code, out, err = run_main(argv)
+                assert 0 <= code <= 5, (argv, err)
+                assert "Traceback" not in err
+                if code == 0 and "--help" not in argv:
+                    assert out.count("\n") == 1
+                    strict_json(out)
+
+            run()

@@ -1,5 +1,6 @@
 """Exhaustive enumeration against the closed-form criterion."""
 
+import bisect
 import math
 from fractions import Fraction
 from itertools import product as sign_patterns
@@ -14,6 +15,7 @@ from cubeshadows.geometry import (
     UnitVector,
     canonical_vertex,
     criterion,
+    shadow,
     shadow_norm_closed_form,
 )
 from cubeshadows.oracle import (
@@ -68,6 +70,25 @@ class TestEnumerationKernels:
                 assert verdicts_equal(enumerate_shadows(u), ref), (u.n, bits)
                 assert any_vertex_inside(u) == ref.exists_inside
                 assert min_abs_inner_product(u) == ref.min_abs_inner_product
+
+    def test_chunk_split_keeps_the_tie_rule(self, monkeypatch):
+        # coordinates in {1, 2, 3} give many exactly tied best vertices and
+        # vertices on the hyperplane; at 2^3 or 2^8 pairs a chunk is asked
+        # to be smaller than one row of 2^(n - n//2) pairs
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([97, 4000], dtype=np.uint64))
+        )
+        orthogonal = 0
+        for n in range(9, 15):
+            u = UnitVector(rng.integers(1, 4, size=n).astype(np.float64))
+            ref = enumerate_shadows_naive(u)
+            orthogonal += ref.min_abs_inner_product == 0.0
+            for bits in (3, 8, 14):
+                monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
+                assert verdicts_equal(enumerate_shadows(u), ref), (n, bits)
+                assert any_vertex_inside(u) == ref.exists_inside
+                assert min_abs_inner_product(u) == ref.min_abs_inner_product
+        assert orthogonal > 0
 
     def test_opposite_directions_give_identical_verdicts(self):
         # u and -u define the same hyperplane, hence the same shadows
@@ -169,6 +190,45 @@ class TestDimensionCaps:
     def test_naive_cap_is_lower(self):
         with pytest.raises(DimensionTooLarge):
             enumerate_shadows_naive(maximizer(21))
+
+
+def integer_min_abs_sum(u):
+    """min |<eps, u>| on the snapped direction in integer units of 2^-48,
+    from sorted half sums split unlike the oracle's halves."""
+    units = [int(c) for c in np.ldexp(_snap(u.coords), oracle.QUANT_BITS)]
+
+    def half_sums(part):
+        patterns = sign_patterns((1, -1), repeat=len(part))
+        return sorted({sum(s * c for s, c in zip(signs, part)) for signs in patterns})
+
+    k = u.n // 2 - 1
+    left, right = half_sums(units[:k]), half_sums(units[k:])
+    best = None
+    for a in left:
+        i = bisect.bisect_left(right, -a)
+        for b in right[max(i - 1, 0) : i + 1]:
+            if best is None or abs(a + b) < best:
+                best = abs(a + b)
+    return best
+
+
+class TestEnumerationCap:
+    def test_snapped_sums_are_exact_at_the_cap(self):
+        n = oracle.DEFAULT_LIMIT
+        for u in (random_direction(n, 2800), maximizer(n)):
+            exact = integer_min_abs_sum(u)
+            assert min_abs_inner_product(u) == math.ldexp(exact, -oracle.QUANT_BITS)
+
+    def test_full_enumeration_at_the_cap(self):
+        n = oracle.DEFAULT_LIMIT
+        u = maximizer(n)
+        v = enumerate_shadows(u)
+        assert v.vertices_checked == 1 << n
+        assert not v.exists_inside
+        assert abs(v.best_inf_norm - shadow(u, v.best_vertex).inf_norm) <= 1e-11
+        assert v.min_abs_inner_product == math.ldexp(
+            integer_min_abs_sum(u), -oracle.QUANT_BITS
+        )
 
 
 class TestBooleanShortcut:

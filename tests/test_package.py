@@ -1,11 +1,14 @@
 """The public names resolve, read from the source without running demos."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import cubeshadows
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_every_exported_name_resolves():
@@ -21,3 +24,20 @@ def test_every_name_the_demos_import_resolves():
             if isinstance(node, ast.ImportFrom) and node.module == "cubeshadows":
                 for alias in node.names:
                     assert hasattr(cubeshadows, alias.name), (path.name, alias.name)
+
+
+def test_every_attribute_the_benchmark_wraps_exists():
+    # perfbench wraps these (module, attribute) pairs by name; a renamed
+    # library function would otherwise only fail in the benchmark
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    table = next(
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "BINDINGS" for t in node.targets)
+    )
+    pairs = [(row.elts[0].value, row.elts[1].value) for row in table.elts]
+    assert pairs
+    for module, attr in pairs:
+        mod = importlib.import_module(f"cubeshadows.{module}")
+        assert hasattr(mod, attr), (module, attr)
