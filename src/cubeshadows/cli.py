@@ -164,8 +164,10 @@ def _cmd_check(args):
 
 
 def _cmd_oracle(args):
-    u, params = _resolve_direction(args)
     limit = _resolve_limit(args)
+    if args.maximizer is not None and args.maximizer > limit:
+        raise DimensionTooLarge(args.maximizer, limit)  # before building it
+    u, params = _resolve_direction(args)
     params["limit"] = limit
     verdict = enumerate_shadows(u, n_limit=limit)
     crit = criterion(u)

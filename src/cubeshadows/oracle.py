@@ -17,6 +17,13 @@ a pair of rows, combined with O(1) work, and min |<eps, u>| is a sorted
 merge of the two sum tables. Rows are in lexicographic order (+1 before
 -1), so pair (a, b) has rank a 2^|B| + b and a row-major scan meets tied
 vertices in tie-rule order.
+
+The tables carry a leading batch axis of T directions, and _blocks cuts
+the vertices of the batch into chunks of about 2^BLOCK_BITS: as many whole
+directions as fit, else one direction and at least one A-row. The public
+entry points are the case T = 1. agreement_sweep draws its trials in
+groups that fill one chunk and reduces it to each direction's minimal
+sup-norm and minimal |s|, the same bits as one direction at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionTooLarge
-from .geometry import INSIDE_TOL, UnitVector, Vertex, criterion
+from .geometry import CRITERION_TOL, INSIDE_TOL, UnitVector, Vertex
+from .geometry import criterion, criterion_product  # perfbench wraps oracle.criterion
 from .measure import sample_sphere
 
 QUANT_BITS = 48
@@ -73,20 +81,22 @@ def _vertex_from_code(code: int, n: int) -> Vertex:
     return Vertex((1 - 2 * bits).astype(np.int8))
 
 
-def _tables(u: UnitVector, n_limit: int):
-    """(s, t_max, t_min) for every sign pattern of each half of the snapped
-    direction. Row a of a half of size h sets its coordinate k to -1 when
-    bit (h-1-k) of a is set; an empty half is the row (0, -inf, +inf)."""
-    n = u.n
+def _tables(uq: np.ndarray, n_limit: int):
+    """(s, t_max, t_min), each of shape (T, 2^size), for every sign pattern
+    of each half of T snapped directions uq of shape (T, n). Row a of a half
+    of size h sets its coordinate k to -1 when bit (h-1-k) of a is set; an
+    empty half is the row (0, -inf, +inf)."""
+    n = uq.shape[1]
     if n > n_limit:
         raise DimensionTooLarge(n, n_limit)
-    uq = _snap(u.coords)
     h, w = n // 2, n - n // 2
-    bits = (np.arange(1 << w)[:, None] >> np.arange(w - 1, -1, -1)) & 1
-    signs = 1.0 - 2.0 * bits  # half A's patterns: first 2^h rows, last h columns
-    halves = (signs[: 1 << h, w - h :] * uq[:h], signs * uq[h:])
+    bits = (np.arange(1 << w) >> np.arange(w - 1, -1, -1)[:, None]) & 1
+    signs = (1.0 - 2.0 * bits)[:, None]  # half A's: last h rows, first 2^h columns
+    uq = np.ascontiguousarray(uq.T)[:, :, None]
+    # coordinate axis first: reducing over it runs on contiguous rows
+    halves = (signs[w - h :, :, : 1 << h] * uq[:h], signs * uq[h:])
     return [
-        (t.sum(axis=1), t.max(axis=1, initial=-np.inf), t.min(axis=1, initial=np.inf))
+        (t.sum(axis=0), t.max(axis=0, initial=-np.inf), t.min(axis=0, initial=np.inf))
         for t in halves
     ]
 
@@ -100,19 +110,23 @@ def _min_abs_sum(sa: np.ndarray, sb: np.ndarray) -> float:
 
 
 def _blocks(tables):
-    """Yields (first A-row, shadow sup-norms of its pairs) for chunks of
-    at least one A-row and about 2^BLOCK_BITS pairs. Every shadow
-    reduction runs over this one loop."""
+    """Yields (first direction, first A-row, sums, shadow sup-norms), the
+    last two of shape (directions, A-rows, 2^|B|), for chunks of about
+    2^BLOCK_BITS vertices: whole directions while they fit, else one
+    direction and at least one A-row. Every shadow reduction runs over
+    this one loop."""
     (sa, hia, loa), (sb, hib, lob) = tables
-    rows = max(1, (1 << BLOCK_BITS) // sb.size)
-    for a0 in range(0, sa.size, rows):
-        r = slice(a0, a0 + rows)
-        s = sa[r, None] + sb
-        hi = np.maximum(hia[r, None], hib)
-        lo = np.minimum(loa[r, None], lob)
-        for t in (hi, lo):  # |1 - s t| in place
-            np.abs(np.subtract(1.0, np.multiply(s, t, out=t), out=t), out=t)
-        yield a0, np.maximum(hi, lo, out=hi)
+    dirs = max(1, (1 << BLOCK_BITS) // (sa.shape[1] * sb.shape[1]))
+    rows = max(1, (1 << BLOCK_BITS) // (dirs * sb.shape[1]))
+    for d0 in range(0, len(sa), dirs):
+        for a0 in range(0, sa.shape[1], rows):
+            d, r = slice(d0, d0 + dirs), slice(a0, a0 + rows)
+            s = sa[d, r, None] + sb[d, None]
+            hi = np.maximum(hia[d, r, None], hib[d, None])
+            lo = np.minimum(loa[d, r, None], lob[d, None])
+            for t in (hi, lo):  # |1 - s t| in place
+                np.abs(np.subtract(1.0, np.multiply(s, t, out=t), out=t), out=t)
+            yield d0, a0, s, np.maximum(hi, lo, out=hi)
 
 
 def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerdict:
@@ -123,10 +137,10 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
     and argmin keeps the first of equal values, so the verdict is
     identical for any chunk size.
     """
-    (sa, _, _), (sb, _, _) = tables = _tables(u, n_limit)
+    ((sa,), _, _), ((sb,), _, _) = tables = _tables(_snap(u.coords[None]), n_limit)
     best_inf = np.inf
     best_code = None
-    for a0, infs in _blocks(tables):
+    for _, a0, _, infs in _blocks(tables):
         i = int(np.argmin(infs))
         if infs.flat[i] < best_inf:
             best_inf, best_code = float(infs.flat[i]), a0 * sb.size + i
@@ -180,14 +194,14 @@ def enumerate_shadows_naive(u: UnitVector, n_limit: int = 20) -> OracleVerdict:
 
 def any_vertex_inside(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> bool:
     """Boolean-only query with early exit once an inside vertex appears."""
-    blocks = _blocks(_tables(u, n_limit))
-    return any(float(infs.min()) <= 1.0 + INSIDE_TOL for _, infs in blocks)
+    blocks = _blocks(_tables(_snap(u.coords[None]), n_limit))
+    return any(float(infs.min()) <= 1.0 + INSIDE_TOL for *_, infs in blocks)
 
 
 def min_abs_inner_product(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> float:
     """Smallest |<eps, u>| over all sign vectors eps, computed exactly
     on the snapped direction by a sorted merge of the half sums."""
-    (sa, _, _), (sb, _, _) = _tables(u, n_limit)
+    ((sa,), _, _), ((sb,), _, _) = _tables(_snap(u.coords[None]), n_limit)
     return _min_abs_sum(sa, sb)
 
 
@@ -216,27 +230,30 @@ def agreement_sweep(
     |<eps, u>| falls below skip_tol (the criterion promises nothing
     there), and counts agreements between the product test and the
     exhaustive inside-vertex search. Disagreements are counted, not
-    raised; the test suite asserts the count is zero.
+    raised; the test suite asserts the count is zero. Trials pass through
+    the kernel in groups that fill one chunk of _blocks.
     """
     agreements = skips = disagreements = satisfied_count = 0
-    for t in range(trials):
-        u = sample_sphere(n, seed, index=t)
-        verdict = enumerate_shadows(u, n_limit=n_limit)
-        if verdict.min_abs_inner_product < skip_tol:
-            skips += 1
-            continue
-        crit = criterion(u)
-        satisfied_count += int(crit.satisfied)
-        if crit.satisfied == verdict.exists_inside:
-            agreements += 1
-        else:
-            disagreements += 1
+    group = max(1, (1 << BLOCK_BITS) >> max(n, 0))  # n < 1: sample_sphere rejects it
+    for t0 in range(0, trials, group):
+        ts = range(t0, min(t0 + group, trials))
+        us = [sample_sphere(n, seed, index=t) for t in ts]
+        tables = _tables(_snap(np.stack([u.coords for u in us])), n_limit)
+        inf_norm, abs_ip = np.full((2, len(us)), np.inf)
+        for d0, _, s, infs in _blocks(tables):
+            d = slice(d0, d0 + len(s))
+            np.minimum(inf_norm[d], infs.min(axis=(1, 2)), out=inf_norm[d])
+            np.minimum(abs_ip[d], np.abs(s).min(axis=(1, 2)), out=abs_ip[d])
+        for u, norm, ip in zip(us, inf_norm.tolist(), abs_ip.tolist()):
+            if ip < skip_tol:
+                skips += 1
+                continue
+            satisfied = criterion_product(u) <= 2.0 + CRITERION_TOL
+            satisfied_count += int(satisfied)
+            if satisfied == (norm <= 1.0 + INSIDE_TOL):
+                agreements += 1
+            else:
+                disagreements += 1
     return AgreementStats(
-        n=n,
-        trials=trials,
-        seed=seed,
-        agreements=agreements,
-        skips=skips,
-        disagreements=disagreements,
-        satisfied_count=satisfied_count,
+        n, trials, seed, agreements, skips, disagreements, satisfied_count
     )

@@ -115,6 +115,14 @@ class TestOracle:
         assert proc.returncode == 4
         assert "enumeration cap" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv", [["--maximizer", str(10**20)], ["--maximizer", "7", "--limit", "6"]]
+    )
+    def test_cap_is_checked_before_the_maximizer_is_built(self, argv):
+        code, out, err = run_main(["oracle", *argv])
+        assert code == 4 and out == ""
+        assert "exceeds the enumeration cap" in err
+
     def test_env_var_lowers_the_cap(self):
         proc = run_cli(
             "oracle", "--maximizer", "5",

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from cubeshadows.errors import DimensionMismatch
 from cubeshadows.geometry import (
@@ -28,6 +28,21 @@ scalable_lists = st.lists(
     min_size=1,
     max_size=24,
 ).filter(any)
+
+
+@st.composite
+def full_range_vectors(draw):
+    """Finite doubles of every exponent, subnormals and zero included. The
+    exponents spread around a common one, so both verdicts occur."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    e0 = draw(st.integers(min_value=-1074, max_value=1024))
+    spread = draw(st.sampled_from([1, 2, 64, 2100]))
+    exps = st.integers(max(-1074, e0 - spread), min(1024, e0 + spread))
+    mant = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+    xs = draw(st.lists(st.builds(math.ldexp, mant, exps), min_size=n, max_size=n))
+    assume(any(xs))
+    return np.array(xs)
+
 
 coord_lists = st.lists(
     st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
@@ -134,6 +149,36 @@ class TestCriterionProduct:
         m = norms(u)
         assert criterion_product(u) == m.l1 * m.linf
         assert criterion(u).product == criterion_product(u)
+
+
+class TestFullFloat64Range:
+    # one coordinate three times each of 15 others: product 2.25, past 2
+    SUBNORMAL = np.ldexp([3.0] + [1.0] * 15, -1060)
+    HUGE = np.ldexp([3.0] + [1.0] * 15, 1000)
+
+    @given(full_range_vectors())
+    @example(SUBNORMAL)
+    @example(HUGE)
+    def test_product_lies_between_one_and_root_n(self, v):
+        p = criterion_product(UnitVector(v))
+        assert 1.0 - 1e-12 <= p <= math.sqrt(v.size) + 1e-12
+
+    @given(
+        full_range_vectors(),
+        st.integers(min_value=-1020, max_value=1023),
+        st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+    )
+    @example(SUBNORMAL, -40, 0.75)
+    @example(HUGE, -60, 0.75)
+    def test_verdict_is_invariant_under_positive_scaling(self, v, t, m):
+        # c = m 2^k puts max|c v| in [2^(t-2), 2^t], normal and finite, so
+        # rounding c v moves each coordinate by at most 2^-53 max|c v|
+        k = t - math.frexp(float(np.max(np.abs(v))))[1]
+        assume(-1073 <= k <= 1024)
+        p = criterion_product(UnitVector(v))
+        assume(abs(p - 2.0) > 1e-12)
+        c = math.ldexp(m, k)
+        assert criterion(UnitVector(c * v)).satisfied == (p <= 2.0)
 
 
 class TestProject:

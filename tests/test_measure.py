@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cubeshadows import measure
 from cubeshadows.errors import DegenerateSample, InvalidDimension
 from cubeshadows.extremal import closed_form_max
 from cubeshadows.geometry import UnitVector, criterion
@@ -42,10 +43,21 @@ class TestSampleSphere:
     def test_gives_up_on_degenerate_streams(self, monkeypatch):
         monkeypatch.setattr(
             "cubeshadows.measure._gaussian",
-            lambda n, seed, index, retry: np.zeros(n),
+            lambda n, seed, index, retry, gen=None: np.zeros(n),
         )
         with pytest.raises(DegenerateSample):
             sample_sphere(3, seed=1)
+
+    def test_a_rekeyed_generator_draws_the_bits_of_a_new_one(self):
+        # one generator re-keyed across lengths, keys and retries, as the
+        # sample loop of estimate uses it
+        gen = np.random.Generator(np.random.Philox(0))
+        for n in (1, 3, 10, 101, 10**4):
+            for seed in (0, 2**63 - 1, 2**63, 2**64 - 1):
+                for retry in (0, 1, 7):
+                    fresh = measure._gaussian(n, seed, 5, retry)
+                    again = measure._gaussian(n, seed, 5, retry, gen)
+                    assert fresh.tobytes() == again.tobytes(), (n, seed, retry)
 
     def test_coordinate_moments_in_three_dimensions(self):
         # a coordinate of a uniform point on the 3-sphere is uniform on

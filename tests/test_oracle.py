@@ -2,6 +2,7 @@
 
 import bisect
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product as sign_patterns
 
@@ -18,7 +19,9 @@ from cubeshadows.geometry import (
     shadow,
     shadow_norm_closed_form,
 )
+from cubeshadows.measure import sample_sphere
 from cubeshadows.oracle import (
+    AgreementStats,
     _snap,
     agreement_sweep,
     any_vertex_inside,
@@ -89,6 +92,24 @@ class TestEnumerationKernels:
                 assert any_vertex_inside(u) == ref.exists_inside
                 assert min_abs_inner_product(u) == ref.min_abs_inner_product
         assert orthogonal > 0
+
+    def test_a_batch_of_directions_gives_each_its_own_minima(self, monkeypatch):
+        # 2^3 vertices per chunk split each direction by rows; 2^7 packs 1
+        # to 64 whole directions per chunk, so at n = 5, 6 the five span
+        # several chunks; 2^14 takes all five at once
+        for n in range(1, 9):
+            us = [random_direction(n, 7000 + 10 * n + k) for k in range(5)]
+            refs = [enumerate_shadows_naive(u) for u in us]
+            tables = oracle._tables(_snap(np.stack([u.coords for u in us])), n)
+            for bits in (3, 7, 14):
+                monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
+                inf_norm, abs_ip = np.full((2, len(us)), np.inf)
+                for d0, _, s, infs in oracle._blocks(tables):
+                    for k in range(len(s)):
+                        inf_norm[d0 + k] = min(inf_norm[d0 + k], infs[k].min())
+                        abs_ip[d0 + k] = min(abs_ip[d0 + k], np.abs(s[k]).min())
+                assert inf_norm.tolist() == [r.best_inf_norm for r in refs]
+                assert abs_ip.tolist() == [r.min_abs_inner_product for r in refs]
 
     def test_opposite_directions_give_identical_verdicts(self):
         # u and -u define the same hyperplane, hence the same shadows
@@ -256,3 +277,60 @@ class TestAgreementSweep:
         st = agreement_sweep(1, 50, seed=1)
         assert st.agreements == 50
         assert st.satisfied_count == 50
+
+    @staticmethod
+    def reference(n, trials, seed, skip_tol=oracle.SKIP_TOL):
+        """The sweep one trial at a time, through the public entry points."""
+        tally = Counter()
+        for t in range(trials):
+            u = sample_sphere(n, seed, index=t)
+            verdict = enumerate_shadows(u)
+            if verdict.min_abs_inner_product < skip_tol:
+                tally["skips"] += 1
+                continue
+            satisfied = criterion(u).satisfied
+            tally["satisfied_count"] += satisfied
+            agree = satisfied == verdict.exists_inside
+            tally["agreements" if agree else "disagreements"] += 1
+        return AgreementStats(
+            n=n,
+            trials=trials,
+            seed=seed,
+            agreements=tally["agreements"],
+            skips=tally["skips"],
+            disagreements=tally["disagreements"],
+            satisfied_count=tally["satisfied_count"],
+        )
+
+    def test_batches_match_one_trial_at_a_time(self, monkeypatch):
+        # 7, 9 and 33 trials leave a partial last group at most chunk sizes
+        cases = [
+            (n, trials, seed)
+            for n in range(1, 15)
+            for trials in (0, 1, 7, 8, 9, 33)
+            for seed in (3, 2**63 + 5)
+        ]
+        refs = [self.reference(*case) for case in cases]
+        assert sum(r.satisfied_count < r.agreements for r in refs) > 0  # both verdicts
+        for bits in (3, 8, 14):
+            monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
+            for case, ref in zip(cases, refs):
+                assert agreement_sweep(*case) == ref, (bits, case)
+
+    def test_skips_match_one_trial_at_a_time(self, monkeypatch):
+        for bits in (3, 14):
+            monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
+            skips = []
+            for n in range(1, 7):
+                ref = self.reference(n, 40, 11, skip_tol=0.5)
+                assert agreement_sweep(n, 40, 11, skip_tol=0.5) == ref, (bits, n)
+                skips.append(ref.skips)
+            assert 0 < sum(skips) < 6 * 40
+
+    def test_cap_applies_only_when_there_are_trials(self):
+        with pytest.raises(DimensionTooLarge):
+            agreement_sweep(5, 1, 0, n_limit=4)
+        assert agreement_sweep(5, 0, 0, n_limit=4) == AgreementStats(
+            n=5, trials=0, seed=0, agreements=0, skips=0,
+            disagreements=0, satisfied_count=0,
+        )
