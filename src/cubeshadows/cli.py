@@ -23,7 +23,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateSample, DimensionTooLarge, NonConvergence
+from .errors import MAX_DIMENSION, DegenerateSample, DimensionTooLarge, NonConvergence
 from .extremal import (
     closed_form_max,
     maximizer,
@@ -32,7 +32,7 @@ from .extremal import (
     threshold_dimension,
 )
 from .geometry import UnitVector, Vertex, criterion, l2_norm
-from .measure import estimate
+from .measure import MAX_SAMPLES, estimate
 from .oracle import DEFAULT_LIMIT, enumerate_shadows
 
 ENV_ORACLE_LIMIT = "SHADOWS_ORACLE_LIMIT"
@@ -92,6 +92,11 @@ def _count(text: str, low: int = 1, high: float = math.inf) -> int:
 def _seed(text: str) -> int:
     """argparse type for seeds, which key Philox as unsigned 64-bit ints."""
     return _count(text, 0, 2**64 - 1)
+
+
+def _samples(text: str) -> int:
+    """argparse type for --samples, capped so that their products fit."""
+    return _count(text, high=MAX_SAMPLES)
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -187,8 +192,10 @@ def _parse_scan(text: str) -> tuple[int, int]:
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
         raise _UsageError(f"bad scan range {text!r}, want A..B")
-    if lo < 1 or hi < lo:
-        raise _UsageError(f"bad scan range {text!r}")
+    if lo < 1 or hi < lo or hi > MAX_DIMENSION:
+        raise _UsageError(
+            f"bad scan range {text!r}, want 1 <= A <= B <= {MAX_DIMENSION}"
+        )
     return lo, hi
 
 
@@ -311,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument(
         "--dims", required=True, help="comma separated dimensions"
     )
-    p_measure.add_argument("--samples", type=_count, default=10_000)
+    p_measure.add_argument("--samples", type=_samples, default=10_000)
     p_measure.add_argument("--seed", type=_seed, default=0)
     p_measure.add_argument("--out", help="also write the rows to a CSV file")
     p_measure.set_defaults(handler=_cmd_measure)

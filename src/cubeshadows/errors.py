@@ -1,4 +1,9 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the dimension guard."""
+
+# 100 times the largest dimension any workload, test or demo uses. An
+# n-dimensional direction costs O(n) memory, so the cap bounds it before
+# anything is allocated.
+MAX_DIMENSION = 2**20
 
 
 class DimensionMismatch(ValueError):
@@ -17,7 +22,13 @@ class DimensionTooLarge(ValueError):
 
 
 class InvalidDimension(ValueError):
-    """Dimension must be a positive integer."""
+    """Dimension outside [low, MAX_DIMENSION]."""
+
+
+def check_dimension(n: int, low: int = 1) -> None:
+    """Raise InvalidDimension unless low <= n <= MAX_DIMENSION."""
+    if not low <= n <= MAX_DIMENSION:
+        raise InvalidDimension(f"need {low} <= n <= {MAX_DIMENSION}, got n={n}")
 
 
 class NonConvergence(RuntimeError):

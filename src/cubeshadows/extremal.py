@@ -15,8 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension, NonConvergence
+from .errors import NonConvergence, check_dimension
 from .geometry import UnitVector, criterion_product
+
+GRAD_TOL = 1e-11
+MAX_ITERS = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +46,7 @@ class AscentResult:
 
 
 def closed_form_max(n: int) -> float:
-    if n < 1:
-        raise InvalidDimension(f"need n >= 1, got n={n}")
+    check_dimension(n)
     return (math.sqrt(n) + 1.0) / 2.0
 
 
@@ -55,8 +57,7 @@ def maximizer(n: int) -> UnitVector:
     remaining n - 1 share the rest equally with b = 1 / (2 a sqrt(n)).
     Then a^2 + (n-1) b^2 = 1 and a * (a + (n-1) b) = (sqrt(n) + 1)/2.
     """
-    if n < 1:
-        raise InvalidDimension(f"need n >= 1, got n={n}")
+    check_dimension(n)
     if n == 1:
         return UnitVector(np.array([1.0]))
     r = math.sqrt(n)
@@ -87,23 +88,16 @@ def stationarity_residual(u: UnitVector) -> float:
     return float(np.linalg.norm(rg))
 
 
-def numerical_max(
-    n: int,
-    restarts: int = 8,
-    seed: int = 0,
-    grad_tol: float = 1e-11,
-    max_iters: int = 100_000,
-) -> AscentResult:
+def numerical_max(n: int, restarts: int = 8, seed: int = 0) -> AscentResult:
     """Maximize the criterion product by gradient ascent on the sphere.
 
     Each restart begins at a random nonnegative direction with the
     designated coordinate boosted, follows the Riemannian gradient of
     the surrogate with a fixed step, and renormalizes after every move.
     Raises NonConvergence (carrying the best point seen) if no restart
-    drives the tangent gradient below grad_tol.
+    drives the tangent gradient below GRAD_TOL within MAX_ITERS steps.
     """
-    if n < 1:
-        raise InvalidDimension(f"need n >= 1, got n={n}")
+    check_dimension(n)
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got {restarts}")
     step = 0.1 / math.sqrt(n)
@@ -120,10 +114,10 @@ def numerical_max(
 
         gn = np.inf
         it = 0
-        for it in range(max_iters):
+        for it in range(MAX_ITERS):
             rg = _tangent_gradient(w, 0, float(np.sum(w)))
             gn = float(np.linalg.norm(rg))
-            if gn <= grad_tol:
+            if gn <= GRAD_TOL:
                 break
             w = w + step * rg
             w /= np.linalg.norm(w)
@@ -131,15 +125,15 @@ def numerical_max(
         value = criterion_product(point)
         if fallback is None or value > fallback[0]:
             fallback = (value, point, gn, it)
-        if gn <= grad_tol:
+        if gn <= GRAD_TOL:
             converged += 1
             if best is None or value > best[0]:
                 best = (value, point, gn, it)
 
     if best is None:
         raise NonConvergence(
-            f"no restart reached grad_tol={grad_tol} within "
-            f"{max_iters} iterations (n={n})",
+            f"no restart reached grad_tol={GRAD_TOL} within "
+            f"{MAX_ITERS} iterations (n={n})",
             best_value=fallback[0],
             best_point=fallback[1],
         )
@@ -153,10 +147,10 @@ def numerical_max(
     )
 
 
-def threshold_dimension(threshold: float = 2.0) -> int:
-    """Largest n whose maximum still fits under the threshold."""
+def threshold_dimension() -> int:
+    """Largest n whose maximum still fits under the threshold 2."""
     n = 1
-    while closed_form_max(n + 1) <= threshold:
+    while closed_form_max(n + 1) <= 2.0:
         n += 1
     return n
 

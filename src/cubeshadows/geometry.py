@@ -18,20 +18,18 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-# Default tolerances. The unit-norm slack scales with sqrt(n); the rest
-# are absolute. zero_tol separates "coordinate is zero" from "coordinate
-# is merely small", which matters because zero coordinates pin the
-# projected entry at exactly +-1.
-NORM_TOL_FACTOR = 1e-12
+# Absolute tolerances, read at call time. ZERO_TOL separates "coordinate
+# is zero" from "coordinate is merely small", which matters because zero
+# coordinates pin the projected entry at exactly +-1.
 ZERO_TOL = 1e-13
 CRITERION_TOL = 0.0
 INSIDE_TOL = 1e-12
 
 
-def _exact_l2(values) -> float:
+def _exact_l2(v: np.ndarray) -> float:
     # fsum is exactly rounded, so the result cannot depend on coordinate
     # order or signs. That keeps normalization permutation-invariant.
-    return math.sqrt(math.fsum(float(x) * float(x) for x in values))
+    return math.sqrt(math.fsum((v * v).tolist()))
 
 
 def _pow2_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
@@ -48,7 +46,7 @@ def l2_norm(v: np.ndarray) -> float:
     beyond the float64 range."""
     w, e = _pow2_scaled(np.asarray(v, dtype=np.float64))
     with np.errstate(over="ignore"):
-        return float(np.ldexp(_exact_l2(w.tolist()), e))
+        return float(np.ldexp(_exact_l2(w), e))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +68,7 @@ class UnitVector:
         if not np.all(np.isfinite(v)):
             raise ValueError("coordinates must be finite")
         v, _ = _pow2_scaled(v)
-        norm = _exact_l2(v.tolist())
+        norm = _exact_l2(v)
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         v /= norm
@@ -138,7 +136,7 @@ def norms(u: UnitVector) -> Norms:
     """
     a = np.abs(u.coords)
     l1 = math.fsum(a.tolist())
-    l2 = _exact_l2(u.coords.tolist())
+    l2 = _exact_l2(u.coords)
     linf = float(a.max())
     return Norms(l1, l2, linf)
 
@@ -161,14 +159,14 @@ def project(u: UnitVector, x: Sequence[float] | np.ndarray) -> np.ndarray:
     return x - float(np.dot(x, u.coords)) * u.coords
 
 
-def canonical_vertex(u: UnitVector, zero_tol: float = ZERO_TOL) -> Vertex:
+def canonical_vertex(u: UnitVector) -> Vertex:
     """The sign-matched vertex for u.
 
-    +1 wherever u_k > zero_tol, -1 wherever u_k < -zero_tol, and +1 at
+    +1 wherever u_k > ZERO_TOL, -1 wherever u_k < -ZERO_TOL, and +1 at
     (near-)zero coordinates as a deterministic tie rule. Whenever any
     vertex projects inside the section, this one does.
     """
-    return Vertex(np.where(u.coords < -zero_tol, -1, 1).astype(np.int8))
+    return Vertex(np.where(u.coords < -ZERO_TOL, -1, 1).astype(np.int8))
 
 
 def shadow(u: UnitVector, eps: Vertex) -> ShadowReport:
@@ -189,7 +187,7 @@ def shadow(u: UnitVector, eps: Vertex) -> ShadowReport:
     )
 
 
-def shadow_norm_closed_form(u: UnitVector, zero_tol: float = ZERO_TOL) -> float:
+def shadow_norm_closed_form(u: UnitVector) -> float:
     """Sup-norm of the canonical vertex's shadow, without projecting.
 
     Signs of u are irrelevant (flip the matching vertex coordinate), so
@@ -200,7 +198,7 @@ def shadow_norm_closed_form(u: UnitVector, zero_tol: float = ZERO_TOL) -> float:
     """
     a = np.abs(u.coords)
     l1 = math.fsum(a.tolist())
-    nonzero = a > zero_tol
+    nonzero = a > ZERO_TOL
     best = 0.0
     if nonzero.any():
         best = float(np.max(np.abs(1.0 - a[nonzero] * l1)))
@@ -209,11 +207,7 @@ def shadow_norm_closed_form(u: UnitVector, zero_tol: float = ZERO_TOL) -> float:
     return best
 
 
-def criterion(
-    u: UnitVector,
-    criterion_tol: float = CRITERION_TOL,
-    zero_tol: float = ZERO_TOL,
-) -> CriterionResult:
+def criterion(u: UnitVector, criterion_tol: float = CRITERION_TOL) -> CriterionResult:
     """Decide whether some vertex of the cube projects into the section.
 
     For directions not orthogonal to any vertex, the product
@@ -226,6 +220,6 @@ def criterion(
     return CriterionResult(
         product=product,
         satisfied=bool(product <= 2.0 + criterion_tol),
-        witness=canonical_vertex(u, zero_tol),
-        degenerate_zero_coords=bool(np.min(np.abs(u.coords)) <= zero_tol),
+        witness=canonical_vertex(u),
+        degenerate_zero_coords=bool(np.min(np.abs(u.coords)) <= ZERO_TOL),
     )

@@ -14,11 +14,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSample, InvalidDimension
+from .errors import DegenerateSample, check_dimension
 from .geometry import UnitVector
 
 MAX_RETRIES = 100
 MIN_GAUSS_NORM = 1e-8
+MAX_SAMPLES = 2**24  # 128 MiB of products, and as much again to sort them
 
 
 @dataclass(frozen=True)
@@ -70,8 +71,7 @@ def sample_sphere(n: int, seed: int, index: int = 0) -> UnitVector:
     sample_sphere(n, seed, i) is reproducible in isolation; no generator
     state is shared between samples.
     """
-    if n < 1:
-        raise InvalidDimension(f"need n >= 1, got n={n}")
+    check_dimension(n)
     return UnitVector(_gaussian_nonzero(n, seed, index))
 
 
@@ -102,10 +102,9 @@ def estimate(n: int, samples: int, seed: int) -> MeasureEstimate:
     side. growth_ratio is median / sqrt(ln n), reported only for n >= 3
     where the normalization is meaningful.
     """
-    if n < 1:
-        raise InvalidDimension(f"need n >= 1, got n={n}")
-    if samples < 1:
-        raise ValueError(f"need samples >= 1, got {samples}")
+    check_dimension(n)
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"need 1 <= samples <= {MAX_SAMPLES}, got {samples}")
     vals = _product_values(n, samples, seed)
     ordered = np.sort(vals)
     median = _nearest_rank(ordered, 0.5)
@@ -128,8 +127,5 @@ def growth_scan(
 ) -> list[MeasureEstimate]:
     """One estimate per dimension, for watching the median's drift upward."""
     for n in dims:
-        if n < 3:
-            raise InvalidDimension(
-                f"growth statistics need n >= 3, got n={n}"
-            )
+        check_dimension(n, 3)
     return [estimate(n, samples, seed) for n in dims]

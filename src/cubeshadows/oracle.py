@@ -157,30 +157,33 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
 
 
 def enumerate_shadows_naive(u: UnitVector, n_limit: int = 20) -> OracleVerdict:
-    """Reference enumeration: fresh O(n) work per vertex, plain loops.
+    """Reference enumeration: fresh O(n) work per vertex, nothing shared.
 
     Kept deliberately dumb so it can cross-check enumerate_shadows; on
-    snapped coordinates the two are bit-identical. Unusable beyond small
-    n, hence the lower default cap.
+    snapped coordinates the two are bit-identical. Each chunk is an
+    explicit matrix of sign vectors in lexicographic order, projected in
+    full; the first minimum wins, so ties go to the smallest code.
+    Unusable beyond small n, hence the lower default cap.
     """
     n = u.n
     if n > n_limit:
         raise DimensionTooLarge(n, n_limit)
-    uq = _snap(u.coords).tolist()
-    ks = range(n)
+    uq = _snap(u.coords)
+    shifts = np.arange(n - 1, -1, -1)
+    rows = 1 << 14
 
     best_inf = np.inf
     best_code = None
     min_abs_ip = np.inf
-    for i in range(1 << n):
-        g = i ^ (i >> 1)
-        signs = [1.0 - 2.0 * ((g >> k) & 1) for k in ks]
-        s = sum(signs[k] * uq[k] for k in ks)
-        inf_norm = max(abs(signs[k] - s * uq[k]) for k in ks)
-        code = sum(((g >> k) & 1) << (n - 1 - k) for k in ks)
-        if inf_norm < best_inf or (inf_norm == best_inf and code < best_code):
-            best_inf, best_code = inf_norm, code
-        min_abs_ip = min(min_abs_ip, abs(s))
+    for c0 in range(0, 1 << n, rows):
+        codes = np.arange(c0, min(c0 + rows, 1 << n))
+        signs = 1.0 - 2.0 * ((codes[:, None] >> shifts) & 1)
+        s = (signs * uq).sum(axis=1)
+        infs = np.abs(signs - s[:, None] * uq).max(axis=1)
+        i = int(np.argmin(infs))
+        if infs[i] < best_inf:
+            best_inf, best_code = float(infs[i]), c0 + i
+        min_abs_ip = min(min_abs_ip, float(np.abs(s).min()))
 
     return OracleVerdict(
         exists_inside=bool(best_inf <= 1.0 + INSIDE_TOL),
@@ -192,42 +195,34 @@ def enumerate_shadows_naive(u: UnitVector, n_limit: int = 20) -> OracleVerdict:
     )
 
 
-def any_vertex_inside(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> bool:
+def any_vertex_inside(u: UnitVector) -> bool:
     """Boolean-only query with early exit once an inside vertex appears."""
-    blocks = _blocks(_tables(_snap(u.coords[None]), n_limit))
+    blocks = _blocks(_tables(_snap(u.coords[None]), DEFAULT_LIMIT))
     return any(float(infs.min()) <= 1.0 + INSIDE_TOL for *_, infs in blocks)
 
 
-def min_abs_inner_product(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> float:
+def min_abs_inner_product(u: UnitVector) -> float:
     """Smallest |<eps, u>| over all sign vectors eps, computed exactly
     on the snapped direction by a sorted merge of the half sums."""
-    ((sa,), _, _), ((sb,), _, _) = _tables(_snap(u.coords[None]), n_limit)
+    ((sa,), _, _), ((sb,), _, _) = _tables(_snap(u.coords[None]), DEFAULT_LIMIT)
     return _min_abs_sum(sa, sb)
 
 
-def is_orthogonal_to_some_vertex(
-    u: UnitVector, tol: float = ORTHO_TOL, n_limit: int = DEFAULT_LIMIT
-) -> bool:
-    """Whether u is (numerically) orthogonal to some cube vertex.
+def is_orthogonal_to_some_vertex(u: UnitVector) -> bool:
+    """Whether some cube vertex has |<eps, u>| <= ORTHO_TOL.
 
     These directions form a measure-zero union of 2^(n-1) lower
     dimensional spheres; on them the criterion's guarantee is void, so
     callers use this to flag results rather than trust them.
     """
-    return min_abs_inner_product(u, n_limit) <= tol
+    return min_abs_inner_product(u) <= ORTHO_TOL
 
 
-def agreement_sweep(
-    n: int,
-    trials: int,
-    seed: int,
-    skip_tol: float = SKIP_TOL,
-    n_limit: int = DEFAULT_LIMIT,
-) -> AgreementStats:
+def agreement_sweep(n: int, trials: int, seed: int) -> AgreementStats:
     """Compare the criterion against full enumeration on random directions.
 
     Samples uniform points on the sphere, skips those whose smallest
-    |<eps, u>| falls below skip_tol (the criterion promises nothing
+    |<eps, u>| falls below SKIP_TOL (the criterion promises nothing
     there), and counts agreements between the product test and the
     exhaustive inside-vertex search. Disagreements are counted, not
     raised; the test suite asserts the count is zero. Trials pass through
@@ -238,14 +233,14 @@ def agreement_sweep(
     for t0 in range(0, trials, group):
         ts = range(t0, min(t0 + group, trials))
         us = [sample_sphere(n, seed, index=t) for t in ts]
-        tables = _tables(_snap(np.stack([u.coords for u in us])), n_limit)
+        tables = _tables(_snap(np.stack([u.coords for u in us])), DEFAULT_LIMIT)
         inf_norm, abs_ip = np.full((2, len(us)), np.inf)
         for d0, _, s, infs in _blocks(tables):
             d = slice(d0, d0 + len(s))
             np.minimum(inf_norm[d], infs.min(axis=(1, 2)), out=inf_norm[d])
             np.minimum(abs_ip[d], np.abs(s).min(axis=(1, 2)), out=abs_ip[d])
         for u, norm, ip in zip(us, inf_norm.tolist(), abs_ip.tolist()):
-            if ip < skip_tol:
+            if ip < SKIP_TOL:
                 skips += 1
                 continue
             satisfied = criterion_product(u) <= 2.0 + CRITERION_TOL

@@ -34,7 +34,7 @@ def test_criterion_1_matches_exhaustive_enumeration_in_2_to_14_dims():
     """
     t0 = time.perf_counter()
     for n in range(2, 15):
-        stats = cs.agreement_sweep(n, 2000, seed=101, skip_tol=1e-9)
+        stats = cs.agreement_sweep(n, 2000, seed=101)
         assert stats.disagreements == 0, f"n={n}: {stats}"
         assert stats.agreements + stats.skips == 2000
     assert time.perf_counter() - t0 < 60.0

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 import cubeshadows
 from cubeshadows.cli import main
+from cubeshadows.errors import MAX_DIMENSION
+from cubeshadows.measure import MAX_SAMPLES
 
 RECORD_KEYS = ["command", "params", "results", "elapsed_ms", "version", "seed"]
 CSV_HEADER = "n,samples,seed,frac_satisfying,mean,median,q05,q95,growth_ratio"
@@ -304,6 +307,32 @@ class TestExitCodes:
         assert strict_json(out)["seed"] == 2**64 - 1
 
 
+N_PAST, SAMPLES_PAST = str(MAX_DIMENSION + 1), str(MAX_SAMPLES + 1)
+
+
+class TestCaps:
+    @pytest.mark.parametrize(
+        "argv, code, cap",
+        [
+            (("check", "--maximizer", N_PAST), 3, MAX_DIMENSION),
+            (("extremal", "-n", N_PAST), 3, MAX_DIMENSION),
+            (("measure", "--dims", N_PAST, "--samples", "1"), 3, MAX_DIMENSION),
+            (("measure", "--dims", "4", "--samples", SAMPLES_PAST), 2, MAX_SAMPLES),
+            (("extremal", "--scan", "1.." + N_PAST), 2, MAX_DIMENSION),
+        ],
+    )
+    def test_one_past_each_cap_is_rejected_before_allocating(self, argv, code, cap):
+        tracemalloc.start()
+        try:
+            exit_code, out, err = run_main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (exit_code, out) == (code, "")
+        assert str(cap) in err and "Traceback" not in err
+        assert peak < 1 << 20
+
+
 # a single token of --vec, --margin and friends: floats of every
 # magnitude (nan, inf and subnormals included) and malformed text
 NUMBER = st.one_of(
@@ -313,7 +342,11 @@ NUMBER = st.one_of(
 )
 # at most 16 coordinates, so an oracle run stays below 2^16 vertices
 VECTOR = st.lists(NUMBER, max_size=16).map(",".join)
-SMALL_INT = st.one_of(st.integers(-2, 64).map(str), st.sampled_from(["", "x", "1.5"]))
+# far past every cap; each must be rejected before anything is allocated
+HUGE = st.integers(10**18, 10**30)
+DIMENSION = st.one_of(
+    st.integers(-2, 64).map(str), st.sampled_from(["", "x", "1.5"]), HUGE.map(str)
+)
 SEED = st.one_of(
     st.integers(-2, 5).map(str),
     st.sampled_from(["x", str(2**64 - 1), str(2**64)]),
@@ -333,21 +366,24 @@ def cli_argv(tmp):
         st.sampled_from(files).map(lambda f: ["--vec-file", f]),
         # dimensions above 16 only where the oracle's cap rejects them:
         # --limit stays at 16 or below
-        st.one_of(st.integers(-2, 16), st.sampled_from([29, 1000]))
+        st.one_of(st.integers(-2, 16), st.sampled_from([29, 1000]), HUGE)
         .map(str)
         .map(lambda n: ["--maximizer", n]),
     )
     scan = st.one_of(
-        st.tuples(st.integers(-2, 40), st.integers(-2, 40)).map(
+        st.tuples(st.integers(-2, 40), st.one_of(st.integers(-2, 40), HUGE)).map(
             "{0[0]}..{0[1]}".format
         ),
         st.sampled_from(["", "5", "..", "a..b", "1..2..3"]),
     )
     dims = st.one_of(
-        st.lists(st.integers(-1, 64).map(str), max_size=3).map(",".join),
+        st.lists(st.one_of(st.integers(-1, 64), HUGE).map(str), max_size=3).map(
+            ",".join
+        ),
         st.sampled_from(["x", "1.5", "1e3"]),
     )
     counts = st.one_of(st.integers(-1, 4).map(str), st.sampled_from(["", "x"]))
+    samples = st.one_of(st.integers(1, 20).map(str), counts, HUGE.map(str))
     out = st.sampled_from([str(tmp / "out.csv"), str(tmp / "missing" / "out.csv")])
     check = st.tuples(st.just(["check"]), vec, optional("--margin", NUMBER))
     limit = st.one_of(st.integers(-2, 16).map(str), st.sampled_from(["", "x", "1.5"]))
@@ -355,7 +391,7 @@ def cli_argv(tmp):
     extremal = st.tuples(
         st.just(["extremal"]),
         st.one_of(
-            SMALL_INT.map(lambda n: ["-n", n]), scan.map(lambda s: ["--scan", s])
+            DIMENSION.map(lambda n: ["-n", n]), scan.map(lambda s: ["--scan", s])
         ),
         st.sampled_from([[], ["--verify"]]),
         optional("--restarts", counts),
@@ -364,7 +400,7 @@ def cli_argv(tmp):
     measure = st.tuples(
         st.just(["measure"]),
         optional("--dims", dims),
-        st.one_of(st.integers(1, 20).map(str), counts).map(lambda s: ["--samples", s]),
+        samples.map(lambda s: ["--samples", s]),
         optional("--seed", SEED),
         optional("--out", out),
     )

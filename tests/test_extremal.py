@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cubeshadows import errors, extremal
 from cubeshadows.errors import InvalidDimension, NonConvergence
 from cubeshadows.extremal import (
     closed_form_max,
@@ -33,6 +34,14 @@ class TestClosedForm:
             closed_form_max(0)
         with pytest.raises(InvalidDimension):
             maximizer(-3)
+
+    def test_rejects_dimensions_above_the_cap(self, monkeypatch):
+        # a lowered cap, so that a missing check costs nothing to run
+        monkeypatch.setattr(errors, "MAX_DIMENSION", 8)
+        for f in (closed_form_max, maximizer, summarize, numerical_max):
+            with pytest.raises(InvalidDimension, match="n <= 8, got n=9"):
+                f(9)
+        assert summarize(8).n == 8
 
     def test_strictly_increasing_in_dimension(self):
         vals = [closed_form_max(n) for n in range(1, 40)]
@@ -111,9 +120,10 @@ class TestNumericalMax:
         res = numerical_max(25, restarts=4, seed=3)
         assert res.value <= closed_form_max(25) + 1e-9
 
-    def test_nonconvergence_carries_the_best_point(self):
+    def test_nonconvergence_carries_the_best_point(self, monkeypatch):
+        monkeypatch.setattr(extremal, "MAX_ITERS", 2)
         with pytest.raises(NonConvergence) as exc:
-            numerical_max(6, restarts=2, seed=0, max_iters=2)
+            numerical_max(6, restarts=2, seed=0)
         assert exc.value.best_point is not None
         assert 1.0 <= exc.value.best_value <= closed_form_max(6) + 1e-9
 
@@ -143,10 +153,6 @@ class TestUpperBoundProperty:
 class TestThresholdDimension:
     def test_default_threshold(self):
         assert threshold_dimension() == 9
-
-    def test_custom_threshold(self):
-        assert threshold_dimension(3.0) == 25
-        assert threshold_dimension(1.0) == 1
 
 
 class TestSummarize:

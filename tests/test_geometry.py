@@ -10,6 +10,8 @@ from cubeshadows.errors import DimensionMismatch
 from cubeshadows.geometry import (
     ZERO_TOL,
     UnitVector,
+    _exact_l2,
+    _pow2_scaled,
     Vertex,
     canonical_vertex,
     criterion,
@@ -179,6 +181,15 @@ class TestFullFloat64Range:
         assume(abs(p - 2.0) > 1e-12)
         c = math.ldexp(m, k)
         assert criterion(UnitVector(c * v)).satisfied == (p <= 2.0)
+
+    @given(full_range_vectors())
+    @example(SUBNORMAL)
+    @example(HUGE)
+    def test_whole_array_squares_have_the_bits_of_one_at_a_time(self, v):
+        # callers pass unit or power-of-two scaled vectors, so no square
+        # overflows; the reference is the former coordinate-wise generator
+        for w in (_pow2_scaled(v)[0], UnitVector(v).coords):
+            assert _exact_l2(w) == math.sqrt(math.fsum(float(x) * float(x) for x in w))
 
 
 class TestProject:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cubeshadows import measure
+from cubeshadows import errors, measure
 from cubeshadows.errors import DegenerateSample, InvalidDimension
 from cubeshadows.extremal import closed_form_max
 from cubeshadows.geometry import UnitVector, criterion
@@ -128,6 +128,21 @@ class TestEstimate:
             estimate(0, 10, seed=1)
         with pytest.raises(ValueError):
             estimate(3, 0, seed=1)
+
+    def test_rejects_dimensions_and_sample_counts_above_the_caps(self, monkeypatch):
+        # lowered caps, so that a missing check costs nothing to run
+        monkeypatch.setattr(errors, "MAX_DIMENSION", 8)
+        monkeypatch.setattr(measure, "MAX_SAMPLES", 4)
+        for call in (
+            lambda: sample_sphere(9, seed=1),
+            lambda: estimate(9, 4, seed=1),
+            lambda: growth_scan([3, 9], 4, seed=1),
+        ):
+            with pytest.raises(InvalidDimension, match="n <= 8, got n=9"):
+                call()
+        with pytest.raises(ValueError, match="samples <= 4"):
+            estimate(3, 5, seed=1)
+        assert estimate(8, 4, seed=1).samples == 4
 
 
 class TestGrowthScan:

@@ -64,9 +64,10 @@ class TestEnumerationKernels:
             ), f"kernels disagree for n={n}, tag={tag}"
 
     def test_verdict_independent_of_block_split(self, monkeypatch):
-        # maximizer(12) has many exactly tied best vertices, spread over
-        # different blocks at every split, so the tie rule is exercised
-        for u in (random_direction(14, 999), maximizer(12)):
+        # maximizer(12) and maximizer(16) have many exactly tied best
+        # vertices, spread over different blocks at every split (and, at
+        # n = 16, over the reference's chunks), so the tie rule is exercised
+        for u in (random_direction(14, 999), maximizer(12), maximizer(16)):
             ref = enumerate_shadows_naive(u)
             for bits in (3, 8, 16):
                 monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
@@ -279,13 +280,13 @@ class TestAgreementSweep:
         assert st.satisfied_count == 50
 
     @staticmethod
-    def reference(n, trials, seed, skip_tol=oracle.SKIP_TOL):
+    def reference(n, trials, seed):
         """The sweep one trial at a time, through the public entry points."""
         tally = Counter()
         for t in range(trials):
             u = sample_sphere(n, seed, index=t)
             verdict = enumerate_shadows(u)
-            if verdict.min_abs_inner_product < skip_tol:
+            if verdict.min_abs_inner_product < oracle.SKIP_TOL:
                 tally["skips"] += 1
                 continue
             satisfied = criterion(u).satisfied
@@ -318,19 +319,20 @@ class TestAgreementSweep:
                 assert agreement_sweep(*case) == ref, (bits, case)
 
     def test_skips_match_one_trial_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(oracle, "SKIP_TOL", 0.5)
         for bits in (3, 14):
             monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
             skips = []
             for n in range(1, 7):
-                ref = self.reference(n, 40, 11, skip_tol=0.5)
-                assert agreement_sweep(n, 40, 11, skip_tol=0.5) == ref, (bits, n)
+                ref = self.reference(n, 40, 11)
+                assert agreement_sweep(n, 40, 11) == ref, (bits, n)
                 skips.append(ref.skips)
             assert 0 < sum(skips) < 6 * 40
 
     def test_cap_applies_only_when_there_are_trials(self):
         with pytest.raises(DimensionTooLarge):
-            agreement_sweep(5, 1, 0, n_limit=4)
-        assert agreement_sweep(5, 0, 0, n_limit=4) == AgreementStats(
-            n=5, trials=0, seed=0, agreements=0, skips=0,
+            agreement_sweep(29, 1, 0)
+        assert agreement_sweep(29, 0, 0) == AgreementStats(
+            n=29, trials=0, seed=0, agreements=0, skips=0,
             disagreements=0, satisfied_count=0,
         )

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import cubeshadows
@@ -10,10 +11,32 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 TRACING = ROOT / "perfbench" / "tracing.py"
 
+# The defaulted parameters of the public functions, each one set to another
+# value by a caller outside the tests: the CLI, the benchmark or the sweep.
+# Every other tolerance and cap is a module constant, read at call time.
+OPTIONS = {
+    ("criterion", "criterion_tol"),
+    ("enumerate_shadows", "n_limit"),
+    ("enumerate_shadows_naive", "n_limit"),
+    ("numerical_max", "restarts"),
+    ("numerical_max", "seed"),
+    ("sample_sphere", "index"),
+}
+
 
 def test_every_exported_name_resolves():
     missing = [n for n in cubeshadows.__all__ if not hasattr(cubeshadows, n)]
     assert missing == []
+
+
+def test_only_the_options_a_caller_sets_have_defaults():
+    found = set()
+    for name in cubeshadows.__all__:
+        obj = getattr(cubeshadows, name)
+        if inspect.isfunction(obj):
+            params = inspect.signature(obj).parameters.values()
+            found |= {(name, p.name) for p in params if p.default is not p.empty}
+    assert found == OPTIONS
 
 
 def test_every_name_the_demos_import_resolves():
