@@ -33,7 +33,7 @@ from .extremal import (
 )
 from .geometry import UnitVector, Vertex, criterion, l2_norm
 from .measure import MAX_SAMPLES, estimate
-from .oracle import DEFAULT_LIMIT, enumerate_shadows
+from .oracle import DEFAULT_LIMIT, MAX_LIMIT, enumerate_shadows
 
 ENV_ORACLE_LIMIT = "SHADOWS_ORACLE_LIMIT"
 
@@ -99,6 +99,11 @@ def _samples(text: str) -> int:
     return _count(text, high=MAX_SAMPLES)
 
 
+def _limit(text: str) -> int:
+    """argparse type for --limit, capped so that the half tables fit."""
+    return _count(text, high=MAX_LIMIT)
+
+
 def _parse_floats(text: str) -> np.ndarray:
     parts = [p for p in text.replace(",", " ").split() if p]
     if not parts:
@@ -142,7 +147,7 @@ def _resolve_limit(args) -> int:
     if env is None:
         return DEFAULT_LIMIT
     try:
-        return _count(env)
+        return _limit(env)
     except argparse.ArgumentTypeError as exc:
         raise _UsageError(f"{ENV_ORACLE_LIMIT}={env!r}: {exc}")
 
@@ -291,9 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_direction_args(p_oracle)
     p_oracle.add_argument(
         "--limit",
-        type=_count,
+        type=_limit,
         default=None,
-        help=f"dimension cap (default {DEFAULT_LIMIT}, env {ENV_ORACLE_LIMIT})",
+        help=f"dimension cap (default {DEFAULT_LIMIT}, at most {MAX_LIMIT}, "
+        f"env {ENV_ORACLE_LIMIT})",
     )
     p_oracle.set_defaults(handler=_cmd_oracle)
 

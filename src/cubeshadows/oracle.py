@@ -5,8 +5,8 @@ which moves each coordinate by at most 2^-49. Every signed sum <eps, u>
 is then a multiple of 2^-48 of size at most sqrt(n) + n 2^-49, below 2^3
 for n <= 28, so it is exact in float64 in any summation order. (Sums stay
 exact while that size is below 2^5, up to n = 1023: DEFAULT_LIMIT bounds
-running time, not exactness.) Every split and the naive reference
-therefore give bit-identical verdicts.
+running time and MAX_LIMIT the size of the half tables, not exactness.)
+Every split and the naive reference therefore give bit-identical verdicts.
 
 The enumeration meets in the middle (Horowitz and Sahni, JACM 1974). With
 t_k = eps_k u_k and s = sum t_k, |eps_k - s u_k| = |1 - s t_k|, and
@@ -15,15 +15,31 @@ max t_k or min t_k, bit for bit. Each half, A = u[:n//2] and B =
 u[n//2:], tabulates (s, t_max, t_min) over its sign patterns. A vertex is
 a pair of rows, combined with O(1) work, and min |<eps, u>| is a sorted
 merge of the two sum tables. Rows are in lexicographic order (+1 before
--1), so pair (a, b) has rank a 2^|B| + b and a row-major scan meets tied
-vertices in tie-rule order.
+-1), so pair (a, b) has code a 2^|B| + b, the tie rule's order.
 
-The tables carry a leading batch axis of T directions, and _blocks cuts
-the vertices of the batch into chunks of about 2^BLOCK_BITS: as many whole
-directions as fit, else one direction and at least one A-row. The public
-entry points are the case T = 1. agreement_sweep draws its trials in
-groups that fill one chunk and reduces it to each direction's minimal
-sup-norm and minimal |s|, the same bits as one direction at a time.
+The kernel, _blocks, takes a bound beta and evaluates only the pairs that
+can reach a sup-norm <= beta, with the same formula, so the bits do not
+change. A vertex's norm is at least |1 - s t| for the t_max and t_min of
+its A-row, so with B sorted by s each A-row can pair only with a window
+of B-rows, found by binary search (the sorted-list trick of the same
+paper). The window is widened by a few units in the last place, so the
+filter is conservative: it never drops a pair whose norm is <= beta, and
+the minimum and all its ties survive whenever some vertex reaches beta.
+A-rows sorted by window start are cut into runs, each evaluated against
+the contiguous slab of B its windows span, so the pass never costs more
+than the dense one. beta = inf is the dense pass: every A-row in order
+against all of B, in equal chunks.
+
+enumerate_shadows starts from the norm of a few likely vertices (the
+sign-matched one is usually the best when the criterion holds) and
+any_vertex_inside from 1 + INSIDE_TOL; both leave a small share of the
+pairs. The tables also carry a leading batch axis of T directions, and
+the dense pass cuts the vertices of the batch into chunks of about
+2^BLOCK_BITS: as many whole directions as fit, else one direction and at
+least one A-row. The public entry points are the case T = 1.
+agreement_sweep draws its trials in groups that fill one chunk and
+reduces it to each direction's minimal sup-norm and minimal |s|, the same
+bits as one direction at a time.
 """
 
 from __future__ import annotations
@@ -39,10 +55,12 @@ from .measure import sample_sphere
 
 QUANT_BITS = 48
 DEFAULT_LIMIT = 28
+MAX_LIMIT = 36  # half tables of 2^18 rows: a run peaks near 175 MB
 BLOCK_BITS = 14
 ORTHO_TOL = 1e-12
 SKIP_TOL = 1e-9
 _NEIGHBOURS = np.array([1, 0])
+_SLACK = 2.0**-50  # 8 unit roundoffs of float64
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,11 +99,13 @@ def _vertex_from_code(code: int, n: int) -> Vertex:
     return Vertex((1 - 2 * bits).astype(np.int8))
 
 
-def _tables(uq: np.ndarray, n_limit: int):
-    """(s, t_max, t_min), each of shape (T, 2^size), for every sign pattern
-    of each half of T snapped directions uq of shape (T, n). Row a of a half
-    of size h sets its coordinate k to -1 when bit (h-1-k) of a is set; an
-    empty half is the row (0, -inf, +inf)."""
+def _halves(uq: np.ndarray, n_limit: int):
+    """t = eps u for every sign pattern of each half of T snapped directions
+    uq of shape (T, n), A = uq[:, :n//2] and B the rest: arrays of shape
+    (size, T, 2^size). Row a of a half of size h sets its coordinate k to
+    -1 when bit (h-1-k) of a is set."""
+    if n_limit > MAX_LIMIT:
+        raise ValueError(f"n_limit={n_limit} exceeds the ceiling of {MAX_LIMIT}")
     n = uq.shape[1]
     if n > n_limit:
         raise DimensionTooLarge(n, n_limit)
@@ -94,56 +114,175 @@ def _tables(uq: np.ndarray, n_limit: int):
     signs = (1.0 - 2.0 * bits)[:, None]  # half A's: last h rows, first 2^h columns
     uq = np.ascontiguousarray(uq.T)[:, :, None]
     # coordinate axis first: reducing over it runs on contiguous rows
-    halves = (signs[w - h :, :, : 1 << h] * uq[:h], signs * uq[h:])
+    return signs[w - h :, :, : 1 << h] * uq[:h], signs * uq[h:]
+
+
+def _tables(uq: np.ndarray, n_limit: int):
+    """(s, t_max, t_min), each of shape (T, 2^size), of each half; an empty
+    half is the row (0, -inf, +inf)."""
     return [
         (t.sum(axis=0), t.max(axis=0, initial=-np.inf), t.min(axis=0, initial=np.inf))
-        for t in halves
+        for t in _halves(uq, n_limit)
     ]
 
 
+def _by_sum(tables):
+    """The tables with B's rows in order of s for each direction, and the
+    B-row of each entry."""
+    a, b = tables
+    order = np.argsort(b[0], axis=1)
+    directions = np.arange(len(order))[:, None]
+    return (a, tuple(x[directions, order] for x in b)), order
+
+
 def _min_abs_sum(sa: np.ndarray, sb: np.ndarray) -> float:
-    """min |a + b| over a in sa, b in sb, exactly: each a meets the two
-    neighbours of -a in sb, sorted and padded with -inf and +inf."""
-    sb = np.sort(np.append(sb, (-np.inf, np.inf)))
-    j = np.searchsorted(sb, -sa)[:, None] - _NEIGHBOURS
-    return float(np.abs(sa[:, None] + sb[j]).min())
+    """min |a + b| over a in sa, b in the sorted sb, exactly: each -a, in
+    ascending order, meets its two neighbours in sb, padded with -inf and
+    +inf."""
+    sb, neg = np.concatenate(([-np.inf], sb, [np.inf])), np.sort(-sa)
+    j = np.searchsorted(sb, neg)[:, None] - _NEIGHBOURS
+    return float(np.abs(sb[j] - neg[:, None]).min())
 
 
-def _blocks(tables):
-    """Yields (first direction, first A-row, sums, shadow sup-norms), the
-    last two of shape (directions, A-rows, 2^|B|), for chunks of about
-    2^BLOCK_BITS vertices: whole directions while they fit, else one
-    direction and at least one A-row. Every shadow reduction runs over
-    this one loop."""
+def _bound(uq: np.ndarray, tables) -> float:
+    """An upper bound on the best sup-norm of one snapped direction uq, B
+    in order of s: the smallest norm, by the kernel's operations, of the
+    sign-matched vertex (usually the best one when the criterion holds)
+    and of each A-row paired with the two B-rows whose sums lie nearest
+    its own best s. That s is 2 / (t_max + t_min) when the row's t share a
+    sign, else 0."""
+    t = np.abs(uq)
+    total = float(t.sum())  # exact in any order
+    canonical = max(abs(1.0 - total * float(x)) for x in (t.max(), t.min()))
+    ((sa,), (hia,), (loa,)), ((sb,), (hib,), (lob,)) = tables
+    with np.errstate(divide="ignore", invalid="ignore"):
+        best_s = np.where(hia * loa > 0, 2.0 / (hia + loa), 0.0)
+    j = np.searchsorted(sb, best_s - sa) - _NEIGHBOURS[:, None]
+    j = np.clip(j, 0, len(sb) - 1)
+    s = sa + sb[j]
+    hi, lo = np.maximum(hia, hib[j]), np.minimum(loa, lob[j])
+    norms = np.maximum(np.abs(1.0 - s * hi), np.abs(1.0 - s * lo))
+    return min(canonical, float(norms.min()))
+
+
+def _windows(tables, beta):
+    """The range [start, stop) of B-rows, in order of s, that each A-row of
+    one direction can pair with to reach a shadow sup-norm <= beta.
+
+    The sup-norm of a vertex is at least |1 - s t| for each of its own t_k,
+    bit for bit, hence for t = t_max and t = t_min of its A-row. So s t lies
+    in [1 - beta, 1 + beta]: s lies in an interval, and sb in that interval
+    shifted by -sa. The interval is widened by _SLACK, relative to the sizes
+    involved, which covers the roundings of |1 - s t|, of its ends and of
+    the shift: the filter drops no pair whose norm is <= beta. A t of zero
+    (or +-inf, the empty half) bounds nothing unless it excludes everything.
+    """
+    ((sa,), (hia,), (loa,)), ((sb,), _, _) = tables
+    b = beta + (1.0 + beta) * _SLACK
+    bound = np.abs(sa).max() + max(-sb[0], sb[-1]) + 1.0  # beyond every |s|
+    lo, hi = -bound, bound
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in (hia, loa):
+            e0, e1 = (1.0 - b) / t, (1.0 + b) / t
+            free = ~np.isfinite(t) | np.isnan(e0)  # 0 / 0 or the empty half
+            lo = np.maximum(lo, np.where(free, -bound, np.minimum(e0, e1)))
+            hi = np.minimum(hi, np.where(free, bound, np.maximum(e0, e1)))
+    lo, hi = np.clip(lo, -bound, bound), np.clip(hi, -bound, bound)
+    lo = lo - sa - (np.abs(lo) + np.abs(sa)) * _SLACK
+    hi = hi - sa + (np.abs(hi) + np.abs(sa)) * _SLACK
+    return np.searchsorted(sb, lo, "left"), np.searchsorted(sb, hi, "right")
+
+
+def _runs(start, stop, cap):
+    """Cuts rows, sorted by start, into runs [i, j) with the B-columns
+    [start[i], max stop[i:j]): the longest aligned runs of a power-of-two
+    length whose rows times columns fit in cap, else single rows. A sub-run
+    fits whenever its run does (fewer rows, a later start, a lower stop),
+    so each row's run has 2^(number of levels at which it fits) rows."""
+    m = len(start)
+    levels = max(m - 1, 0).bit_length()
+    top = np.zeros(1 << levels, np.intp)  # max stop over each run of the level
+    top[:m] = stop
+    level = np.zeros(m, np.intp)
+    for k in range(1, levels + 1):
+        top = top.reshape(-1, 2).max(axis=1)
+        first = np.arange(0, m, 1 << k)
+        rows = np.minimum(first + (1 << k), m) - first
+        fits = rows * (top[: len(first)] - start[first]) <= cap
+        if not fits.any():
+            break
+        level += np.repeat(fits, 1 << k)[:m]
+    i = np.flatnonzero((np.arange(m) & ((1 << level) - 1)) == 0)
+    if not len(i):
+        return []
+    j = np.minimum(i + (1 << level[i]), m)
+    cols = np.maximum.reduceat(stop, i)
+    return list(zip(i.tolist(), j.tolist(), start[i].tolist(), cols.tolist()))
+
+
+def _blocks(tables, beta=np.inf):
+    """Yields (first direction, (A-rows, B-slab), sums, shadow sup-norms),
+    the last two of shape (directions, A-rows, B-slab), for chunks of about
+    2^BLOCK_BITS vertices that hold every vertex whose sup-norm is <= beta.
+    A-rows number rows of A; the B-slab is a slice of the B tables as given.
+    A chunk is whole directions while they fit, else one direction and a
+    run of A-rows. With beta = inf the runs have equal lengths, come in
+    order and pair with all of B. A finite beta takes one direction with B
+    in order of s (_by_sum), and each run pairs with the slab that its
+    rows' windows span. Every shadow reduction runs over this one loop."""
     (sa, hia, loa), (sb, hib, lob) = tables
     dirs = max(1, (1 << BLOCK_BITS) // (sa.shape[1] * sb.shape[1]))
-    rows = max(1, (1 << BLOCK_BITS) // (dirs * sb.shape[1]))
+    cap = (1 << BLOCK_BITS) // dirs
+    if beta == np.inf:
+        rows, step = np.arange(sa.shape[1]), max(1, cap // sb.shape[1])
+        runs = [(i, i + step, 0, sb.shape[1]) for i in range(0, len(rows), step)]
+    else:
+        start, stop = _windows(tables, beta)
+        rows = np.flatnonzero(stop > start)
+        rows = rows[np.argsort(start[rows], kind="stable")]
+        sa, hia, loa = (x[:, rows] for x in (sa, hia, loa))
+        runs = _runs(start[rows], stop[rows], cap)
     for d0 in range(0, len(sa), dirs):
-        for a0 in range(0, sa.shape[1], rows):
-            d, r = slice(d0, d0 + dirs), slice(a0, a0 + rows)
-            s = sa[d, r, None] + sb[d, None]
-            hi = np.maximum(hia[d, r, None], hib[d, None])
-            lo = np.minimum(loa[d, r, None], lob[d, None])
+        for i, j, c0, c1 in runs:
+            d, r, c = slice(d0, d0 + dirs), slice(i, j), slice(c0, c1)
+            s = sa[d, r, None] + sb[d, None, c]
+            hi = np.maximum(hia[d, r, None], hib[d, None, c])
+            lo = np.minimum(loa[d, r, None], lob[d, None, c])
             for t in (hi, lo):  # |1 - s t| in place
                 np.abs(np.subtract(1.0, np.multiply(s, t, out=t), out=t), out=t)
-            yield d0, a0, s, np.maximum(hi, lo, out=hi)
+            yield d0, (rows[r], c), s, np.maximum(hi, lo, out=hi)
 
 
 def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerdict:
-    """Check all 2^n vertices and report the best shadow found.
+    """Report the best shadow over all 2^n vertices.
 
-    Ties in the minimal sup-norm are broken by the lexicographically
-    smallest sign pattern (+1 sorts before -1): chunks come in that order
-    and argmin keeps the first of equal values, so the verdict is
-    identical for any chunk size.
+    The kernel evaluates only the pairs of half rows whose window admits a
+    sup-norm up to a bound: the smallest norm of a few likely vertices,
+    among them the sign-matched one, usually the best one when the
+    criterion holds (then about 5e-4 of the pairs are evaluated at n = 24;
+    about a tenth for maximizer(24), whose best vertices tie). Every pair
+    left out has a larger norm than the bound, so the verdict covers all
+    2^n vertices (vertices_checked) though not every vertex is evaluated,
+    and it is bit for bit the dense pass's. Ties in the minimal sup-norm
+    go to the lexicographically smallest sign pattern (+1 sorts before
+    -1): a chunk's tied vertices yield their smallest code, and a later
+    chunk replaces it only with a smaller norm or a smaller code, so the
+    verdict is identical for any chunk size. n_limit may not exceed
+    MAX_LIMIT.
     """
-    ((sa,), _, _), ((sb,), _, _) = tables = _tables(_snap(u.coords[None]), n_limit)
-    best_inf = np.inf
-    best_code = None
-    for _, a0, _, infs in _blocks(tables):
-        i = int(np.argmin(infs))
-        if infs.flat[i] < best_inf:
-            best_inf, best_code = float(infs.flat[i]), a0 * sb.size + i
+    uq = _snap(u.coords[None])
+    tables, (ib,) = _by_sum(_tables(uq, n_limit))
+    w = u.n - u.n // 2
+    best_inf, best_code = np.inf, 1 << u.n
+    for _, (rows, slab), _, infs in _blocks(tables, _bound(uq, tables)):
+        low = infs.min()
+        if low > best_inf or (low == best_inf and int(rows.min()) << w > best_code):
+            continue
+        r, c = np.nonzero(infs[0] == low)
+        code = int(((rows[r] << w) + ib[slab][c]).min())
+        if low < best_inf or code < best_code:
+            best_inf, best_code = float(low), code
+    ((sa,), _, _), ((sb,), _, _) = tables
     min_abs_ip = _min_abs_sum(sa, sb)
 
     return OracleVerdict(
@@ -196,16 +335,20 @@ def enumerate_shadows_naive(u: UnitVector, n_limit: int = 20) -> OracleVerdict:
 
 
 def any_vertex_inside(u: UnitVector) -> bool:
-    """Boolean-only query with early exit once an inside vertex appears."""
-    blocks = _blocks(_tables(_snap(u.coords[None]), DEFAULT_LIMIT))
-    return any(float(infs.min()) <= 1.0 + INSIDE_TOL for *_, infs in blocks)
+    """Boolean-only query: evaluates only the pairs that can reach a
+    sup-norm of 1 + INSIDE_TOL (a few thousand of the 2^24 at n = 24), and
+    stops at the first chunk with an inside vertex."""
+    beta = 1.0 + INSIDE_TOL
+    tables, _ = _by_sum(_tables(_snap(u.coords[None]), DEFAULT_LIMIT))
+    blocks = _blocks(tables, beta)
+    return any(float(infs.min()) <= beta for *_, infs in blocks)
 
 
 def min_abs_inner_product(u: UnitVector) -> float:
     """Smallest |<eps, u>| over all sign vectors eps, computed exactly
     on the snapped direction by a sorted merge of the half sums."""
-    ((sa,), _, _), ((sb,), _, _) = _tables(_snap(u.coords[None]), DEFAULT_LIMIT)
-    return _min_abs_sum(sa, sb)
+    ta, tb = _halves(_snap(u.coords[None]), DEFAULT_LIMIT)
+    return _min_abs_sum(ta.sum(axis=0)[0], np.sort(tb.sum(axis=0)[0]))
 
 
 def is_orthogonal_to_some_vertex(u: UnitVector) -> bool:

@@ -10,15 +10,17 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cubeshadows
 from cubeshadows.cli import main
 from cubeshadows.errors import MAX_DIMENSION
 from cubeshadows.measure import MAX_SAMPLES
+from cubeshadows.oracle import MAX_LIMIT
 
 RECORD_KEYS = ["command", "params", "results", "elapsed_ms", "version", "seed"]
 CSV_HEADER = "n,samples,seed,frac_satisfying,mean,median,q05,q95,growth_ratio"
@@ -308,6 +310,7 @@ class TestExitCodes:
 
 
 N_PAST, SAMPLES_PAST = str(MAX_DIMENSION + 1), str(MAX_SAMPLES + 1)
+LIMIT_PAST = str(MAX_LIMIT + 1)
 
 
 class TestCaps:
@@ -319,6 +322,7 @@ class TestCaps:
             (("measure", "--dims", N_PAST, "--samples", "1"), 3, MAX_DIMENSION),
             (("measure", "--dims", "4", "--samples", SAMPLES_PAST), 2, MAX_SAMPLES),
             (("extremal", "--scan", "1.." + N_PAST), 2, MAX_DIMENSION),
+            (("oracle", "--maximizer", "5", "--limit", LIMIT_PAST), 2, MAX_LIMIT),
         ],
     )
     def test_one_past_each_cap_is_rejected_before_allocating(self, argv, code, cap):
@@ -347,6 +351,12 @@ HUGE = st.integers(10**18, 10**30)
 DIMENSION = st.one_of(
     st.integers(-2, 64).map(str), st.sampled_from(["", "x", "1.5"]), HUGE.map(str)
 )
+# --limit and SHADOWS_ORACLE_LIMIT, up to far past the ceiling MAX_LIMIT
+LIMIT = st.one_of(
+    st.integers(-2, 16).map(str),
+    st.integers(1, 10**30).map(str),
+    st.sampled_from(["", "x", "1.5", str(MAX_LIMIT), str(MAX_LIMIT + 1)]),
+)
 SEED = st.one_of(
     st.integers(-2, 5).map(str),
     st.sampled_from(["x", str(2**64 - 1), str(2**64)]),
@@ -365,8 +375,8 @@ def cli_argv(tmp):
         VECTOR.map(lambda v: ["--vec=" + v]),
         st.sampled_from(files).map(lambda f: ["--vec-file", f]),
         # dimensions above 16 only where the oracle's cap rejects them:
-        # --limit stays at 16 or below
-        st.one_of(st.integers(-2, 16), st.sampled_from([29, 1000]), HUGE)
+        # above MAX_LIMIT, the largest limit accepted
+        st.one_of(st.integers(-2, 16), st.sampled_from([64, 1000]), HUGE)
         .map(str)
         .map(lambda n: ["--maximizer", n]),
     )
@@ -386,8 +396,7 @@ def cli_argv(tmp):
     samples = st.one_of(st.integers(1, 20).map(str), counts, HUGE.map(str))
     out = st.sampled_from([str(tmp / "out.csv"), str(tmp / "missing" / "out.csv")])
     check = st.tuples(st.just(["check"]), vec, optional("--margin", NUMBER))
-    limit = st.one_of(st.integers(-2, 16).map(str), st.sampled_from(["", "x", "1.5"]))
-    oracle = st.tuples(st.just(["oracle"]), vec, optional("--limit", limit))
+    oracle = st.tuples(st.just(["oracle"]), vec, optional("--limit", LIMIT))
     extremal = st.tuples(
         st.just(["extremal"]),
         st.one_of(
@@ -421,9 +430,16 @@ class TestFuzz:
             (tmp / "empty").write_text("", encoding="utf-8")
 
             @settings(max_examples=300)
-            @given(cli_argv(tmp))
-            def run(argv):
-                code, out, err = run_main(argv)
+            @given(cli_argv(tmp), st.one_of(st.none(), LIMIT))
+            # limits past the ceiling, with a dimension whose tables do not fit
+            @example(["oracle", "--maximizer", "64", "--limit", str(10**30)], None)
+            @example(["oracle", "--maximizer", "64"], "64")
+            def run(argv, env_limit):
+                with mock.patch.dict(os.environ):
+                    os.environ.pop("SHADOWS_ORACLE_LIMIT", None)
+                    if env_limit is not None:
+                        os.environ["SHADOWS_ORACLE_LIMIT"] = env_limit
+                    code, out, err = run_main(argv)
                 assert 0 <= code <= 5, (argv, err)
                 assert "Traceback" not in err
                 if code == 0 and "--help" not in argv:

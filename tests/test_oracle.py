@@ -134,6 +134,90 @@ class TestEnumerationKernels:
             assert min_abs_inner_product(u) == float(exact)
 
 
+def pruned_kernel_cases():
+    """Directions whose verdicts stress the window filter: random ones,
+    integer ratios in {-3..3} (tied and orthogonal vertices), a zero and a
+    subnormal coordinate (both snap to t = 0), maximizer(n) (many tied best
+    vertices), and n = 1, 2 (an A half of zero or one coordinate)."""
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([97, 5000], dtype=np.uint64))
+    )
+    cases = [u_of(1.0), u_of(-0.3), u_of(1.0, 0.0), u_of(0.6, -0.8), u_of(2.0, 2.0)]
+    for n in range(1, 15):
+        cases.append(random_direction(n, 5000 + n))
+        cases.append(maximizer(n))
+        v = rng.integers(-3, 4, size=n).astype(np.float64)
+        v[0] = 3.0
+        cases.append(UnitVector(v))
+        for tiny in (0.0, 5e-324):
+            v = rng.standard_normal(n)
+            v[n // 2] = tiny
+            if n > 1:
+                cases.append(UnitVector(v))
+    return cases
+
+
+class TestPrunedKernel:
+    def test_pruned_entry_points_match_the_naive_reference_bitwise(self, monkeypatch):
+        cases = pruned_kernel_cases()
+        refs = [enumerate_shadows_naive(u) for u in cases]
+        assert sum(r.min_abs_inner_product == 0.0 for r in refs) > 0  # orthogonal
+        outside = sum(not r.exists_inside for r in refs)
+        assert 0 < outside < len(refs) - outside
+        for bits in (3, 8, 14):
+            monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
+            for u, ref in zip(cases, refs):
+                assert verdicts_equal(enumerate_shadows(u), ref), (u.coords, bits)
+                assert any_vertex_inside(u) == ref.exists_inside, (u.coords, bits)
+                assert min_abs_inner_product(u) == ref.min_abs_inner_product
+
+    def test_pruning_leaves_the_dense_pass_unused(self, monkeypatch):
+        # at n = 20 the inside-only question on the maximizer, which has no
+        # inside vertex, and a criterion-holding direction both finish
+        # without the beta = inf pass and evaluate few of the 2^20 pairs
+        blocks, pairs = oracle._blocks, []
+
+        def pruned_only(tables, beta=np.inf):
+            if beta == np.inf:
+                raise AssertionError("dense pass")
+            for chunk in blocks(tables, beta):
+                pairs.append(chunk[3].size)
+                yield chunk
+
+        u = sample_sphere(20, 5)
+        assert criterion(u).satisfied
+        ref = enumerate_shadows_naive(u)
+        monkeypatch.setattr(oracle, "_blocks", pruned_only)
+        assert not any_vertex_inside(maximizer(20))
+        assert verdicts_equal(enumerate_shadows(u), ref)
+        assert 0 < sum(pairs) < (1 << 20) // 64
+
+    def test_windows_hold_every_pair_at_or_below_the_bound(self):
+        # bounds equal to pair norms put pairs exactly on a window's edge
+        for u in pruned_kernel_cases():
+            tables, _ = oracle._by_sum(oracle._tables(_snap(u.coords[None]), 14))
+            [(*_, infs)] = oracle._blocks(tables)  # one chunk up to n = 14
+            norms = np.unique(infs)
+            for beta in norms[:: max(1, len(norms) // 16)]:
+                start, stop = oracle._windows(tables, float(beta))
+                b = np.arange(infs.shape[2])
+                inside = (start[:, None] <= b) & (b < stop[:, None])
+                assert inside[infs[0] <= beta].all(), (u.coords, beta)
+
+    def test_runs_cover_every_row_within_the_cap(self):
+        rng = np.random.default_rng(11)
+        for m, cap in ((1, 1), (5, 4), (64, 16), (300, 1 << 10), (1000, 1 << 14)):
+            start = np.sort(rng.integers(0, 2000, m))
+            stop = start + rng.integers(1, 300, m) * (rng.random(m) < 0.9) + 1
+            runs = oracle._runs(start, stop, cap)
+            assert [i for i, *_ in runs] == [0] + [j for _, j, *_ in runs[:-1]]
+            assert runs[-1][1] == m
+            for i, j, c0, c1 in runs:
+                assert (c0, c1) == (start[i], stop[i:j].max())
+                assert j - i == 1 or (j - i) * (c1 - c0) <= cap
+                assert i % (j - i) == 0 or j == m  # aligned
+
+
 class TestVerdictContents:
     def test_axis_direction_boundary_shadows(self):
         v = enumerate_shadows(u_of(1.0, 0.0))
@@ -208,6 +292,11 @@ class TestDimensionCaps:
         assert exc.value.limit == 28
         with pytest.raises(DimensionTooLarge):
             enumerate_shadows(maximizer(7), n_limit=6)
+
+    def test_limits_above_the_ceiling_are_rejected(self):
+        with pytest.raises(ValueError, match=str(oracle.MAX_LIMIT)):
+            enumerate_shadows(u_of(1.0, 2.0), n_limit=oracle.MAX_LIMIT + 1)
+        assert enumerate_shadows(u_of(1.0, 2.0), n_limit=oracle.MAX_LIMIT).exists_inside
 
     def test_naive_cap_is_lower(self):
         with pytest.raises(DimensionTooLarge):
