@@ -26,18 +26,32 @@ CRITERION_TOL = 0.0
 INSIDE_TOL = 1e-12
 
 
-def _exact_l2(v: np.ndarray) -> float:
-    # fsum is exactly rounded, so the result cannot depend on coordinate
-    # order or signs. That keeps normalization permutation-invariant.
-    return math.sqrt(math.fsum((v * v).tolist()))
+def _row_fsum(x: np.ndarray) -> np.ndarray:
+    # fsum is exactly rounded, so a row's sum cannot depend on coordinate
+    # order or signs. Rows lie along the last axis.
+    rows = x.reshape(-1, x.shape[-1]).tolist()
+    return np.array([math.fsum(r) for r in rows]).reshape(x.shape[:-1])
 
 
-def _pow2_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
-    # Dividing by a power of two is exact. Bringing max|v| into [0.5, 1)
-    # keeps the squares summed afterwards clear of overflow and underflow
-    # over the whole float64 range.
-    e = math.frexp(float(np.max(np.abs(v))))[1]
+def _exact_l2(v: np.ndarray) -> np.ndarray:
+    # exactly rounded row norms, so normalization is permutation-invariant
+    return np.sqrt(_row_fsum(v * v))
+
+
+def _pow2_scaled(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Dividing by a power of two is exact. Bringing each row's max|v| into
+    # [0.5, 1) keeps the squares summed afterwards clear of overflow and
+    # underflow over the whole float64 range.
+    e = np.frexp(np.abs(v).max(axis=-1, keepdims=True))[1]
     return np.ldexp(v, -e), e
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of v (finite, not all zero) divided by its exactly rounded
+    Euclidean norm, after its own power-of-two scaling: a stack of T rows
+    gives the bits of T UnitVectors."""
+    w, _ = _pow2_scaled(v)
+    return w / _exact_l2(w)[..., None]
 
 
 def l2_norm(v: np.ndarray) -> float:
@@ -46,7 +60,7 @@ def l2_norm(v: np.ndarray) -> float:
     beyond the float64 range."""
     w, e = _pow2_scaled(np.asarray(v, dtype=np.float64))
     with np.errstate(over="ignore"):
-        return float(np.ldexp(_exact_l2(w), e))
+        return float(np.ldexp(_exact_l2(w), e[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,11 +81,9 @@ class UnitVector:
             raise DimensionMismatch("expected a 1-d vector with n >= 1")
         if not np.all(np.isfinite(v)):
             raise ValueError("coordinates must be finite")
-        v, _ = _pow2_scaled(v)
-        norm = _exact_l2(v)
-        if norm == 0.0:
+        if not v.any():
             raise ValueError("cannot normalize the zero vector")
-        v /= norm
+        v = _unit_rows(v)
         v.flags.writeable = False
         object.__setattr__(self, "coords", v)
 
@@ -135,10 +147,7 @@ def norms(u: UnitVector) -> Norms:
     last bit.
     """
     a = np.abs(u.coords)
-    l1 = math.fsum(a.tolist())
-    l2 = _exact_l2(u.coords)
-    linf = float(a.max())
-    return Norms(l1, l2, linf)
+    return Norms(float(_row_fsum(a)), float(_exact_l2(u.coords)), float(a.max()))
 
 
 def criterion_product(u: UnitVector) -> float:
@@ -147,8 +156,13 @@ def criterion_product(u: UnitVector) -> float:
     The l1 sum is exactly rounded, so permuting or sign-flipping the
     coordinates cannot change the product, not even in the last bit.
     """
-    a = np.abs(u.coords)
-    return math.fsum(a.tolist()) * float(a.max())
+    return float(_criterion_products(u.coords))
+
+
+def _criterion_products(rows: np.ndarray) -> np.ndarray:
+    """criterion_product of each row of a stack of unit rows."""
+    a = np.abs(rows)
+    return _row_fsum(a) * a.max(axis=-1)
 
 
 def project(u: UnitVector, x: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -197,7 +211,7 @@ def shadow_norm_closed_form(u: UnitVector) -> float:
     collapses to max(1, |1 - ||u||_inf * ||u||_1|).
     """
     a = np.abs(u.coords)
-    l1 = math.fsum(a.tolist())
+    l1 = float(_row_fsum(a))
     nonzero = a > ZERO_TOL
     best = 0.0
     if nonzero.any():

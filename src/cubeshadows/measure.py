@@ -2,15 +2,19 @@
 
 Sampling uses one Philox stream per sample, keyed by (seed, sample
 index), so results are bit-identical no matter how the work is chunked
-or ordered. The criterion product is scale invariant, so statistics are
-computed on raw Gaussian vectors without normalizing each one.
+or ordered. Philox is counter-based, so a loop over samples (_draws, for
+estimate and for the oracle's agreement_sweep) builds one generator and
+re-keys it to each stream, which draws the bits of a fresh generator at a
+third of the cost; sample_sphere, one draw, builds a keyed generator. The
+criterion product is scale invariant, so statistics are computed on raw
+Gaussian vectors without normalizing each one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -40,14 +44,15 @@ class MeasureEstimate:
 def _gaussian(n: int, seed: int, index: int, retry: int, gen=None) -> np.ndarray:
     """Draw number retry of stream (seed, index): Philox with key (seed,
     index) and counter (retry, 0, 0, 0). A given generator is re-keyed to
-    that state, which gives the bits of a new one at a third of the cost."""
-    key = np.array([seed, index], dtype=np.uint64)
-    counter = np.array([retry, 0, 0, 0], dtype=np.uint64)
+    that state, which gives the bits of a new one at a fraction of the cost."""
     if gen is None:
+        key = np.array([seed, index], dtype=np.uint64)
+        counter = np.array([retry, 0, 0, 0], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
     else:  # an empty buffer (buffer_pos 4): the next draw advances the counter
         gen.bit_generator.state = {
-            "bit_generator": "Philox", "state": {"counter": counter, "key": key},
+            "bit_generator": "Philox",
+            "state": {"counter": (retry, 0, 0, 0), "key": (seed, index)},
             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
     return gen.standard_normal(n)
@@ -56,12 +61,21 @@ def _gaussian(n: int, seed: int, index: int, retry: int, gen=None) -> np.ndarray
 def _gaussian_nonzero(n: int, seed: int, index: int, gen=None) -> np.ndarray:
     for retry in range(MAX_RETRIES):
         g = _gaussian(n, seed, index, retry, gen)
-        if float(np.linalg.norm(g)) >= MIN_GAUSS_NORM:
+        if math.sqrt(g.dot(g)) >= MIN_GAUSS_NORM:  # np.linalg.norm(g), bit for bit
             return g
     raise DegenerateSample(
         f"no usable Gaussian vector after {MAX_RETRIES} draws "
         f"(n={n}, seed={seed}, index={index})"
     )
+
+
+def _draws(n: int, seed: int, indexes: Iterable[int]) -> Iterator[np.ndarray]:
+    """_gaussian_nonzero(n, seed, i) for each i, through one generator
+    re-keyed for every draw; n is checked before anything is allocated."""
+    check_dimension(n)
+    gen = np.random.Generator(np.random.Philox(0))
+    for i in indexes:
+        yield _gaussian_nonzero(n, seed, i, gen)
 
 
 def sample_sphere(n: int, seed: int, index: int = 0) -> UnitVector:
@@ -78,15 +92,7 @@ def sample_sphere(n: int, seed: int, index: int = 0) -> UnitVector:
 def criterion_product_raw(g: np.ndarray) -> float:
     """Criterion product of g / ||g||_2, computed without normalizing."""
     a = np.abs(g)
-    return float(np.sum(a) * np.max(a) / (g @ g))
-
-
-def _product_values(n: int, samples: int, seed: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(0))  # re-keyed for every draw
-    vals = np.empty(samples, dtype=np.float64)
-    for i in range(samples):
-        vals[i] = criterion_product_raw(_gaussian_nonzero(n, seed, i, gen))
-    return vals
+    return float(a.sum() * a.max() / (g @ g))
 
 
 def _nearest_rank(sorted_vals: np.ndarray, p: float) -> float:
@@ -105,7 +111,8 @@ def estimate(n: int, samples: int, seed: int) -> MeasureEstimate:
     check_dimension(n)
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"need 1 <= samples <= {MAX_SAMPLES}, got {samples}")
-    vals = _product_values(n, samples, seed)
+    draws = _draws(n, seed, range(samples))
+    vals = np.fromiter(map(criterion_product_raw, draws), np.float64, samples)
     ordered = np.sort(vals)
     median = _nearest_rank(ordered, 0.5)
     ratio = median / math.sqrt(math.log(n)) if n >= 3 else None

@@ -10,8 +10,10 @@ from cubeshadows.errors import DimensionMismatch
 from cubeshadows.geometry import (
     ZERO_TOL,
     UnitVector,
+    _criterion_products,
     _exact_l2,
     _pow2_scaled,
+    _unit_rows,
     Vertex,
     canonical_vertex,
     criterion,
@@ -114,6 +116,22 @@ class TestUnitVector:
             assert u.coords == pytest.approx([math.sqrt(0.5)] * 2, abs=1e-15)
             assert criterion(u).product == pytest.approx(1.0, abs=1e-15)
             assert not criterion(u).degenerate_zero_coords
+
+    def test_stacked_rows_are_scaled_and_normalized_one_by_one(self):
+        # rows from 2^-1060 (partly subnormal) to 2^1020 times one vector in
+        # one stack: a scale shared by the rows would flush the small ones
+        # to zero, and none at all would overflow the squares of the large
+        x = np.array([0.75, -3.0, 1.5, 2.0**-20, -0.3])
+        ks = (-1060, -1000, -500, 0, 500, 1000, 1020)
+        stack = np.stack([np.ldexp(x, k) for k in ks])
+        rows, ref = _unit_rows(stack), UnitVector(x).coords
+        products = _criterion_products(rows)
+        for k, v, row, product in zip(ks, stack, rows, products):
+            u = UnitVector(v)
+            assert row.tobytes() == u.coords.tobytes(), k
+            assert product == criterion_product(u) == norms(u).l1 * norms(u).linf
+            if k >= -1000:  # no subnormal coordinate: the same direction
+                assert row.tobytes() == ref.tobytes(), k
 
 
 class TestVertex:

@@ -8,7 +8,7 @@ import pytest
 from cubeshadows import errors, measure
 from cubeshadows.errors import DegenerateSample, InvalidDimension
 from cubeshadows.extremal import closed_form_max
-from cubeshadows.geometry import UnitVector, criterion
+from cubeshadows.geometry import UnitVector, _unit_rows, criterion
 from cubeshadows.measure import (
     criterion_product_raw,
     estimate,
@@ -70,6 +70,54 @@ class TestSampleSphere:
         assert abs(float(np.mean(first))) <= 4.0 * math.sqrt(1 / 3) * scale
         assert abs(float(np.mean(first**2)) - 1 / 3) <= 4.0 * math.sqrt(4 / 45) * scale
         assert abs(float(np.mean(np.abs(first))) - 0.5) <= 4.0 * math.sqrt(1 / 12) * scale
+
+
+class TestBatchedDraws:
+    """The draw loop that estimate and agreement_sweep share: one re-keyed
+    generator, rows normalized as a stack."""
+
+    @staticmethod
+    def rows(n, seed, trials):
+        return _unit_rows(np.stack(list(measure._draws(n, seed, range(trials)))))
+
+    def test_rows_have_the_bits_of_sample_sphere(self):
+        for n in range(1, 15):
+            for seed in (0, 3, 2**63 + 5, 2**64 - 1):
+                for t, row in enumerate(self.rows(n, seed, 9)):
+                    expected = sample_sphere(n, seed, index=t).coords
+                    assert row.tobytes() == expected.tobytes(), (n, seed, t)
+
+    def test_retries_draw_the_next_counter_of_the_same_stream(self, monkeypatch):
+        # index 1 fails its first draw and index 4 its first two; each row is
+        # then the first usable draw of its own stream, as in sample_sphere
+        fails = {1: 1, 4: 2}
+        draw = measure._gaussian
+
+        def flaky(n, seed, index, retry, gen=None):
+            if retry < fails.get(index, 0):
+                return np.zeros(n)
+            return draw(n, seed, index, retry, gen)
+
+        monkeypatch.setattr(measure, "_gaussian", flaky)
+        for n in (1, 5, 12):
+            for seed in (3, 2**64 - 1):
+                for t, row in enumerate(self.rows(n, seed, 6)):
+                    retried = draw(n, seed, t, fails.get(t, 0))
+                    assert row.tobytes() == UnitVector(retried).coords.tobytes()
+                    again = sample_sphere(n, seed, index=t).coords
+                    assert row.tobytes() == again.tobytes(), (n, seed, t)
+
+    def test_gives_up_after_every_retry_of_one_stream(self, monkeypatch):
+        retries = []
+
+        def degenerate(n, seed, index, retry, gen=None):
+            retries.append((index, retry))
+            return np.zeros(n)
+
+        monkeypatch.setattr(measure, "_gaussian", degenerate)
+        with pytest.raises(DegenerateSample, match="index=0"):
+            list(measure._draws(3, 1, range(4)))
+        assert retries == [(0, r) for r in range(measure.MAX_RETRIES)]
 
 
 class TestRawProduct:

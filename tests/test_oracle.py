@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product as sign_patterns
@@ -9,8 +10,8 @@ from itertools import product as sign_patterns
 import numpy as np
 import pytest
 
-from cubeshadows import oracle
-from cubeshadows.errors import DimensionTooLarge
+from cubeshadows import measure, oracle
+from cubeshadows.errors import MAX_DIMENSION, DimensionTooLarge, InvalidDimension
 from cubeshadows.extremal import maximizer
 from cubeshadows.geometry import (
     UnitVector,
@@ -203,6 +204,28 @@ class TestPrunedKernel:
                 b = np.arange(infs.shape[2])
                 inside = (start[:, None] <= b) & (b < stop[:, None])
                 assert inside[infs[0] <= beta].all(), (u.coords, beta)
+
+    def test_sorted_key_searches_give_the_unsorted_windows_and_bounds(
+        self, monkeypatch
+    ):
+        # _windows at the bound, at the inside threshold and at a spread of
+        # pair norms, and _bound itself, against plain np.searchsorted
+        def plain(sb, keys, side="left"):
+            return np.searchsorted(sb, keys, side)
+
+        searches = (oracle._search, plain)
+        cases = pruned_kernel_cases() + [random_direction(20, 5100), maximizer(20)]
+        for u in cases:
+            uq = _snap(u.coords[None])
+            tables, _ = oracle._by_sum(oracle._tables(uq, 20))
+            betas = [1.0 + oracle.INSIDE_TOL, 0.0, 1.0, 1.5, 3.0]
+            seen = []
+            for search in searches:
+                monkeypatch.setattr(oracle, "_search", search)
+                bound = oracle._bound(uq, tables)
+                windows = [oracle._windows(tables, b) for b in betas + [bound]]
+                seen.append((bound, [np.stack(w).tolist() for w in windows]))
+            assert seen[0] == seen[1], u.coords
 
     def test_runs_cover_every_row_within_the_cap(self):
         rng = np.random.default_rng(11)
@@ -417,6 +440,35 @@ class TestAgreementSweep:
                 assert agreement_sweep(n, 40, 11) == ref, (bits, n)
                 skips.append(ref.skips)
             assert 0 < sum(skips) < 6 * 40
+
+    def test_retried_draws_match_one_trial_at_a_time(self, monkeypatch):
+        # trials 2 and 5 fail their first draw; the batched sweep and the
+        # per-trial reference draw the same second one
+        draw = measure._gaussian
+
+        def flaky(n, seed, index, retry, gen=None):
+            if index in (2, 5) and retry == 0:
+                return np.zeros(n)
+            return draw(n, seed, index, retry, gen)
+
+        monkeypatch.setattr(measure, "_gaussian", flaky)
+        for n in (3, 9, 13):
+            assert agreement_sweep(n, 7, 21) == self.reference(n, 7, 21), n
+
+    def test_dimension_is_checked_before_anything_is_drawn(self):
+        for n in (0, -4):
+            with pytest.raises(InvalidDimension):
+                agreement_sweep(n, 1, 5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidDimension):
+                agreement_sweep(MAX_DIMENSION + 1, 1, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # one row would take 8 MiB
+        for n in (0, MAX_DIMENSION + 1):
+            assert agreement_sweep(n, 0, 5) == AgreementStats(n, 0, 5, 0, 0, 0, 0)
 
     def test_cap_applies_only_when_there_are_trials(self):
         with pytest.raises(DimensionTooLarge):
