@@ -30,6 +30,18 @@ the contiguous slab of B its windows span, so the pass never costs more
 than the dense one. beta = inf is the dense pass: every A-row in order
 against all of B, in equal chunks.
 
+For one direction, enumerate_shadows and any_vertex_inside first cut
+each half table to distinct rows (_distinct_by_sum): the smallest row of
+each distinct multiset of t. Two rows have the same multiset exactly
+when, for each magnitude of u in the half, they have the same count of
+positive t. Exact sums then give equal multisets bit-identical (s, t_max,
+t_min), up to the sign of a zero that no norm or sum sees, so no pair
+norm or sum changes; and as a code is a 2^|B| + b, the smallest code
+among tied class pairs is that of their smallest rows: the tie rule
+holds. maximizer(n), whose best vertices tie by the thousands, keeps
+about n rows per half instead of 2^(n/2); a half whose magnitudes are
+nonzero and distinct, as in a random direction, keeps every row.
+
 enumerate_shadows starts from the norm of a few likely vertices (the
 sign-matched one is usually the best when the criterion holds) and
 any_vertex_inside from 1 + INSIDE_TOL; both leave a small share of the
@@ -49,6 +61,7 @@ sample_sphere, criterion and enumerate_shadows per trial.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 
@@ -134,13 +147,41 @@ def _tables(uq: np.ndarray, n_limit: int):
     ]
 
 
-def _by_sum(tables):
-    """The tables with B's rows in order of s for each direction, and the
-    B-row of each entry."""
-    a, b = tables
-    order = np.argsort(b[0], axis=1)
-    directions = np.arange(len(order))[:, None]
-    return (a, tuple(x[directions, order] for x in b)), order
+def _distinct_rows(half: np.ndarray) -> np.ndarray:
+    """The smallest row of each distinct multiset of t = eps u over the sign
+    patterns of one half u of a snapped direction, in ascending order. Two
+    rows have the same multiset exactly when they have, for each nonzero
+    magnitude of u, the same count of positive t; a row's key is those
+    counts as the digits of a mixed-radix number, built one coordinate at a
+    time (the first is the most significant bit of the row). If every
+    magnitude is nonzero and distinct, the key is the row itself."""
+    mags = np.abs(half).tolist()
+    counts = Counter(m for m in mags if m)
+    rows = 1 << len(mags)
+    if len(counts) == len(mags):
+        return np.arange(rows)
+    place, size = {}, 1  # the place value of each magnitude's digit
+    for m, c in counts.items():
+        place[m], size = size, size * (c + 1)
+    keys = np.zeros(1, np.intp)
+    for x, m in zip(half.tolist(), mags):  # eps = +1, then -1
+        w = place.get(m, 0)
+        keys = (keys[:, None] + [w * (x > 0), w * (x < 0)]).ravel()
+    first = np.full(size, rows)
+    np.minimum.at(first, keys, np.arange(rows))
+    return np.sort(first[first < rows])
+
+
+def _distinct_by_sum(uq: np.ndarray, tables):
+    """The tables of one snapped direction uq, shape (1, n), cut to the
+    smallest row of each distinct multiset of t in each half, B in order of
+    s, and the row of the full half that each entry stands for."""
+    (a, b), h = tables, uq.shape[1] // 2
+    ia, ib = _distinct_rows(uq[0, :h]), _distinct_rows(uq[0, h:])
+    ib = ib[np.argsort(b[0][0, ib])]
+    if len(ia) < a[0].shape[1]:
+        a = tuple(x[:, ia] for x in a)
+    return (a, tuple(x[:, ib] for x in b)), (ia, ib)
 
 
 def _min_abs_sum(sa: np.ndarray, sb: np.ndarray) -> float:
@@ -156,8 +197,8 @@ def _search(sb: np.ndarray, keys: np.ndarray, side: str = "left") -> np.ndarray:
     """The indexes of np.searchsorted(sb, keys, side), found for the keys in
     ascending order, where each search starts from the last one, and put
     back in the keys' order. For thousands of distinct unsorted keys this
-    takes half the time or less, the sort included; keys with a few
-    distinct values, as maximizer(n) gives, take about twice the time."""
+    takes half the time or less, the sort included; for the few dozen keys
+    of tables cut to distinct rows it adds about 10 us."""
     order = np.argsort(keys)
     found = np.empty(keys.shape, np.intp)
     found[order] = np.searchsorted(sb, keys[order], side)
@@ -244,12 +285,13 @@ def _blocks(tables, beta=np.inf):
     """Yields (first direction, (A-rows, B-slab), sums, shadow sup-norms),
     the last two of shape (directions, A-rows, B-slab), for chunks of about
     2^BLOCK_BITS vertices that hold every vertex whose sup-norm is <= beta.
-    A-rows number rows of A; the B-slab is a slice of the B tables as given.
-    A chunk is whole directions while they fit, else one direction and a
-    run of A-rows. With beta = inf the runs have equal lengths, come in
-    order and pair with all of B. A finite beta takes one direction with B
-    in order of s (_by_sum), and each run pairs with the slab that its
-    rows' windows span. Every shadow reduction runs over this one loop."""
+    A-rows number rows of A and the B-slab is a slice of B, in the tables
+    as given. A chunk is whole directions while they fit, else one
+    direction and a run of A-rows. With beta = inf the runs have equal
+    lengths, come in order and pair with all of B. A finite beta takes one
+    direction with B in order of s (_distinct_by_sum), and each run pairs
+    with the slab that its rows' windows span. Every shadow reduction runs
+    over this one loop."""
     (sa, hia, loa), (sb, hib, lob) = tables
     dirs = max(1, (1 << BLOCK_BITS) // (sa.shape[1] * sb.shape[1]))
     cap = (1 << BLOCK_BITS) // dirs
@@ -279,23 +321,24 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
     The kernel evaluates only the pairs of half rows whose window admits a
     sup-norm up to a bound: the smallest norm of a few likely vertices,
     among them the sign-matched one, usually the best one when the
-    criterion holds (then about 5e-4 of the pairs are evaluated at n = 24;
-    about a tenth for maximizer(24), whose best vertices tie). Every pair
-    left out has a larger norm than the bound, so the verdict covers all
-    2^n vertices (vertices_checked) though not every vertex is evaluated,
-    and it is bit for bit the dense pass's. Ties in the minimal sup-norm
-    go to the lexicographically smallest sign pattern (+1 sorts before
-    -1): a chunk's tied vertices yield their smallest code, and a later
-    chunk replaces it only with a smaller norm or a smaller code, so the
-    verdict is identical for any chunk size. n_limit may not exceed
+    criterion holds (then about 5e-4 of the pairs are evaluated at n = 24),
+    on the tables cut to distinct rows. Every pair left out has a norm
+    above the bound or that of a kept pair of smaller code, so the verdict
+    covers all 2^n vertices (vertices_checked) though not every vertex is
+    evaluated, and it is bit for bit the dense pass's. Ties in the minimal
+    sup-norm go to the lexicographically smallest sign pattern (+1 sorts
+    before -1): a chunk's tied vertices yield their smallest code, and a
+    later chunk replaces it only with a smaller norm or a smaller code, so
+    the verdict is identical for any chunk size. n_limit may not exceed
     MAX_LIMIT.
     """
     uq = _snap(u.coords[None])
-    tables, (ib,) = _by_sum(_tables(uq, n_limit))
+    tables, (ia, ib) = _distinct_by_sum(uq, _tables(uq, n_limit))
     w = u.n - u.n // 2
     best_inf, best_code = np.inf, 1 << u.n
     for _, (rows, slab), _, infs in _blocks(tables, _bound(uq, tables)):
         low = infs.min()
+        rows = ia[rows]
         if low > best_inf or (low == best_inf and int(rows.min()) << w > best_code):
             continue
         r, c = np.nonzero(infs[0] == low)
@@ -359,7 +402,8 @@ def any_vertex_inside(u: UnitVector) -> bool:
     sup-norm of 1 + INSIDE_TOL (a few thousand of the 2^24 at n = 24), and
     stops at the first chunk with an inside vertex."""
     beta = 1.0 + INSIDE_TOL
-    tables, _ = _by_sum(_tables(_snap(u.coords[None]), DEFAULT_LIMIT))
+    uq = _snap(u.coords[None])
+    tables, _ = _distinct_by_sum(uq, _tables(uq, DEFAULT_LIMIT))
     blocks = _blocks(tables, beta)
     return any(float(infs.min()) <= beta for *_, infs in blocks)
 

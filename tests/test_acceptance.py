@@ -113,9 +113,9 @@ def test_criterion_6c_median_tracks_the_root_log_growth_law(growth_rows):
 
 def test_criterion_7_full_enumeration_is_fast_enough():
     """24 dims under 120s is the gate, for a seeded direction and for the
-    maximizer, whose criterion fails and whose tied best vertices keep a
-    tenth of the pairs in the search; the n=20 speed ratio is printed for
-    information only."""
+    maximizer, whose criterion fails and whose best vertices tie by the
+    thousands (each half table keeps one row per class of equal rows); the
+    n=20 speed ratio is printed for information only."""
     u = cs.sample_sphere(24, seed=5)
     t0 = time.perf_counter()
     verdict = enumerate_shadows(u)

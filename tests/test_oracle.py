@@ -158,9 +158,34 @@ def pruned_kernel_cases():
     return cases
 
 
+def distinct_row_cases():
+    """Directions whose halves repeat magnitudes in ways the random and
+    integer cases of pruned_kernel_cases() do not: equal magnitudes of
+    mixed sign, several zero coordinates, and maximizer(n) with its large
+    coordinate moved to the middle or the end or with some coordinates
+    negated."""
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([97, 6000], dtype=np.uint64))
+    )
+    cases = []
+    for n in range(2, 15):
+        cases.append(UnitVector(np.resize([3.0, -3.0, 3.0, -3.0, 1.0], n)))
+        v = rng.choice([-2.0, -1.0, 1.0, 2.0], size=n)
+        v[0] = 2.0
+        cases.append(UnitVector(v))
+        v = rng.standard_normal(n)
+        v[rng.permutation(n)[: n // 2]] = 0.0
+        cases.append(UnitVector(v))
+        m = maximizer(n).coords
+        cases.append(UnitVector(np.roll(m, n // 2)))
+        cases.append(UnitVector(np.roll(m, -1)))
+        cases.append(UnitVector(m * rng.choice([-1.0, 1.0], size=n)))
+    return cases
+
+
 class TestPrunedKernel:
     def test_pruned_entry_points_match_the_naive_reference_bitwise(self, monkeypatch):
-        cases = pruned_kernel_cases()
+        cases = pruned_kernel_cases() + distinct_row_cases()
         refs = [enumerate_shadows_naive(u) for u in cases]
         assert sum(r.min_abs_inner_product == 0.0 for r in refs) > 0  # orthogonal
         outside = sum(not r.exists_inside for r in refs)
@@ -195,8 +220,9 @@ class TestPrunedKernel:
 
     def test_windows_hold_every_pair_at_or_below_the_bound(self):
         # bounds equal to pair norms put pairs exactly on a window's edge
-        for u in pruned_kernel_cases():
-            tables, _ = oracle._by_sum(oracle._tables(_snap(u.coords[None]), 14))
+        for u in pruned_kernel_cases() + distinct_row_cases():
+            uq = _snap(u.coords[None])
+            tables, _ = oracle._distinct_by_sum(uq, oracle._tables(uq, 14))
             [(*_, infs)] = oracle._blocks(tables)  # one chunk up to n = 14
             norms = np.unique(infs)
             for beta in norms[:: max(1, len(norms) // 16)]:
@@ -217,7 +243,7 @@ class TestPrunedKernel:
         cases = pruned_kernel_cases() + [random_direction(20, 5100), maximizer(20)]
         for u in cases:
             uq = _snap(u.coords[None])
-            tables, _ = oracle._by_sum(oracle._tables(uq, 20))
+            tables, _ = oracle._distinct_by_sum(uq, oracle._tables(uq, 20))
             betas = [1.0 + oracle.INSIDE_TOL, 0.0, 1.0, 1.5, 3.0]
             seen = []
             for search in searches:
@@ -239,6 +265,69 @@ class TestPrunedKernel:
                 assert (c0, c1) == (start[i], stop[i:j].max())
                 assert j - i == 1 or (j - i) * (c1 - c0) <= cap
                 assert i % (j - i) == 0 or j == m  # aligned
+
+
+class TestDistinctRows:
+    def test_kept_rows_are_the_smallest_of_each_multiset(self):
+        # a brute-force dict over the full half tables: the first row of
+        # each sorted tuple of t, and that row's (s, t_max, t_min) for
+        # every row of the class (+-0 compare equal, as in |1 - s t|)
+        for u in pruned_kernel_cases() + distinct_row_cases():
+            uq = _snap(u.coords[None])
+            full = oracle._tables(uq, 14)
+            (_, (sb, _, _)), kept = oracle._distinct_by_sum(uq, full)
+            assert (np.diff(sb[0]) >= 0).all()
+            for t, rows, table in zip(oracle._halves(uq, 14), kept, full):
+                first = {}
+                for row in range(t.shape[2]):
+                    rep = first.setdefault(tuple(sorted(t[:, 0, row])), row)
+                    triple = [x[0, row] for x in table]
+                    assert triple == [x[0, rep] for x in table], (u.coords, row)
+                assert sorted(rows.tolist()) == sorted(first.values()), u.coords
+
+    def test_the_maximizer_evaluates_one_pair_per_class_pair(self, monkeypatch):
+        # 2n sign classes: A has 2 (n/2) rows, B n/2 + 1, against the
+        # 2^24 vertices the verdict covers
+        blocks, pairs = oracle._blocks, []
+
+        def counted(tables, beta=np.inf):
+            for chunk in blocks(tables, beta):
+                pairs.append(chunk[3].size)
+                yield chunk
+
+        monkeypatch.setattr(oracle, "_blocks", counted)
+        v = enumerate_shadows(maximizer(24))
+        assert v.vertices_checked == 1 << 24
+        assert 0 < sum(pairs) < 1 << 12
+
+    def test_the_maximizer_up_to_the_ceiling_matches_its_sign_classes(self):
+        # a vertex of maximizer(n) is the sign e of the large coordinate and
+        # the count p of +1 among the n - 1 equal ones: s exact in integer
+        # units of 2^-48, the norm by the kernel's float formula, and the
+        # smallest code of a class is e then p leading +1s. At n = 36 the
+        # two weights have the ratio 7, so some vertex is orthogonal to u
+        for n in (28, 32, 36):
+            u = maximizer(n)
+            uq = _snap(u.coords)
+            a, b = (int(x) for x in np.ldexp(uq[:2], oracle.QUANT_BITS))
+            assert (uq[1:] == uq[1]).all()
+            best, min_abs = (math.inf, 0), math.inf
+            for e in (1, -1):
+                for p in range(n):
+                    s = math.ldexp(e * a + (2 * p - (n - 1)) * b, -oracle.QUANT_BITS)
+                    ts = [e * uq[0]] + [uq[1]] * (p > 0) + [-uq[1]] * (p < n - 1)
+                    norm = max(abs(1.0 - s * t) for t in (max(ts), min(ts)))
+                    code = (e < 0) << (n - 1) | ((1 << (n - 1 - p)) - 1)
+                    best = min(best, (norm, code))
+                    min_abs = min(min_abs, abs(s))
+            v = enumerate_shadows(u, n_limit=oracle.MAX_LIMIT)
+            assert v.best_inf_norm == best[0], n
+            assert v.best_vertex.signs.tolist() == (
+                oracle._vertex_from_code(best[1], n).signs.tolist()
+            )
+            assert v.min_abs_inner_product == min_abs
+            assert abs(shadow(u, v.best_vertex).inf_norm - v.best_inf_norm) <= 1e-11
+            assert v.orthogonal_vertex_found == (min_abs <= oracle.ORTHO_TOL)
 
 
 class TestVerdictContents:
