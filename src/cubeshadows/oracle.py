@@ -17,6 +17,13 @@ a pair of rows, combined with O(1) work, and min |<eps, u>| is a sorted
 merge of the two sum tables. Rows are in lexicographic order (+1 before
 -1), so pair (a, b) has code a 2^|B| + b, the tie rule's order.
 
+A half table is in turn the same pairing of its two quarters (_table):
+its rows' s, t_max and t_min are outer sums, maxima and minima, O(2^(n/2))
+time and memory in all, and a quarter of at most _LEAF coordinates reads
+a slice of one fixed sign matrix. Partial sums are exact, and max and
+min return an operand, numpy's the second on a tie of +0 and -0, so the
+tables have the bits of one sign matrix per half, zeros' signs included.
+
 The kernel, _blocks, takes a bound beta and evaluates only the pairs that
 can reach a sup-norm <= beta, with the same formula, so the bits do not
 change. A vertex's norm is at least |1 - s t| for the t_max and t_min of
@@ -42,21 +49,10 @@ holds. maximizer(n), whose best vertices tie by the thousands, keeps
 about n rows per half instead of 2^(n/2); a half whose magnitudes are
 nonzero and distinct, as in a random direction, keeps every row.
 
-enumerate_shadows starts from the norm of a few likely vertices (the
-sign-matched one is usually the best when the criterion holds) and
-any_vertex_inside from 1 + INSIDE_TOL; both leave a small share of the
-pairs. The tables also carry a leading batch axis of T directions, and
-the dense pass cuts the vertices of the batch into chunks of about
-2^BLOCK_BITS: as many whole directions as fit, else one direction and at
-least one A-row. The public entry points are the case T = 1.
-
-agreement_sweep takes its trials in groups that fill one chunk. A group
-is drawn through one re-keyed generator (measure._draws), normalized as
-a stack of rows by the code of UnitVector (geometry._unit_rows), snapped
-and reduced by the dense pass to each direction's minimal sup-norm and
-minimal |s|; the criterion products come from the same stack. No
-UnitVector is built per trial, and the tally has the bits of one
-sample_sphere, criterion and enumerate_shadows per trial.
+The tables carry a leading batch axis of T directions, and the dense
+pass cuts the vertices of the batch into chunks of about 2^BLOCK_BITS:
+as many whole directions as fit, else one direction and at least one
+A-row. The public entry points are the case T = 1.
 """
 
 from __future__ import annotations
@@ -76,12 +72,14 @@ from .measure import sample_sphere  # perfbench wraps oracle.sample_sphere
 
 QUANT_BITS = 48
 DEFAULT_LIMIT = 28
-MAX_LIMIT = 36  # half tables of 2^18 rows: a run peaks near 175 MB
+MAX_LIMIT = 36  # half tables of 2^18 rows: a run peaks below 80 MB
 BLOCK_BITS = 14
 ORTHO_TOL = 1e-12
 SKIP_TOL = 1e-9
 _NEIGHBOURS = np.array([1, 0])
 _SLACK = 2.0**-50  # 8 unit roundoffs of float64
+_LEAF = 7  # a table of at most this many coordinates reads _SIGNS
+_SIGNS = 1.0 - 2.0 * ((np.arange(1 << _LEAF) >> np.arange(_LEAF)[::-1, None, None]) & 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,31 +118,31 @@ def _vertex_from_code(code: int, n: int) -> Vertex:
     return Vertex((1 - 2 * bits).astype(np.int8))
 
 
-def _halves(uq: np.ndarray, n_limit: int):
-    """t = eps u for every sign pattern of each half of T snapped directions
-    uq of shape (T, n), A = uq[:, :n//2] and B the rest: arrays of shape
-    (size, T, 2^size). Row a of a half of size h sets its coordinate k to
-    -1 when bit (h-1-k) of a is set."""
+def _table(u: np.ndarray):
+    """(s, t_max, t_min), each (T, 2^k), over the sign patterns of u, shape
+    (k, T, 1): row a sets coordinate j to -1 when bit (k-1-j) of a is set."""
+    k = len(u)
+    if k <= _LEAF:
+        t = _SIGNS[_LEAF - k :, :, : 1 << k] * u
+        return t.sum(0), t.max(0, initial=-np.inf), t.min(0, initial=np.inf)
+    lead, trail = _table(u[: k // 2]), _table(u[k // 2 :])
+    return tuple(
+        op(x[:, :, None], y[:, None]).reshape(len(x), -1)
+        for op, x, y in zip((np.add, np.maximum, np.minimum), lead, trail)
+    )
+
+
+def _tables(uq: np.ndarray, n_limit: int):
+    """The tables of A = uq[:, :n//2] and B of T snapped directions uq,
+    shape (T, n); an empty half is the row (0, -inf, +inf)."""
     if n_limit > MAX_LIMIT:
         raise ValueError(f"n_limit={n_limit} exceeds the ceiling of {MAX_LIMIT}")
     n = uq.shape[1]
     if n > n_limit:
         raise DimensionTooLarge(n, n_limit)
-    h, w = n // 2, n - n // 2
-    bits = (np.arange(1 << w) >> np.arange(w - 1, -1, -1)[:, None]) & 1
-    signs = (1.0 - 2.0 * bits)[:, None]  # half A's: last h rows, first 2^h columns
-    uq = np.ascontiguousarray(uq.T)[:, :, None]
     # coordinate axis first: reducing over it runs on contiguous rows
-    return signs[w - h :, :, : 1 << h] * uq[:h], signs * uq[h:]
-
-
-def _tables(uq: np.ndarray, n_limit: int):
-    """(s, t_max, t_min), each of shape (T, 2^size), of each half; an empty
-    half is the row (0, -inf, +inf)."""
-    return [
-        (t.sum(axis=0), t.max(axis=0, initial=-np.inf), t.min(axis=0, initial=np.inf))
-        for t in _halves(uq, n_limit)
-    ]
+    u = np.ascontiguousarray(uq.T)[:, :, None]
+    return [_table(u[: n // 2]), _table(u[n // 2 :])]
 
 
 def _distinct_rows(half: np.ndarray) -> np.ndarray:
@@ -411,8 +409,8 @@ def any_vertex_inside(u: UnitVector) -> bool:
 def min_abs_inner_product(u: UnitVector) -> float:
     """Smallest |<eps, u>| over all sign vectors eps, computed exactly
     on the snapped direction by a sorted merge of the half sums."""
-    ta, tb = _halves(_snap(u.coords[None]), DEFAULT_LIMIT)
-    return _min_abs_sum(ta.sum(axis=0)[0], np.sort(tb.sum(axis=0)[0]))
+    ((sa,), _, _), ((sb,), _, _) = _tables(_snap(u.coords[None]), DEFAULT_LIMIT)
+    return _min_abs_sum(sa, np.sort(sb))
 
 
 def is_orthogonal_to_some_vertex(u: UnitVector) -> bool:
@@ -434,8 +432,10 @@ def agreement_sweep(n: int, trials: int, seed: int) -> AgreementStats:
     exhaustive inside-vertex search. Disagreements are counted, not
     raised; the test suite asserts the count is zero. Trials pass through
     the kernel in groups that fill one chunk of _blocks, drawn through one
-    re-keyed generator and normalized as stacked rows, with the bits of
-    sample_sphere(n, seed, t) for trial t.
+    re-keyed generator (measure._draws) and normalized as stacked rows
+    (geometry._unit_rows) that also give the criterion products. No
+    UnitVector is built per trial, and the tally has the bits of
+    sample_sphere(n, seed, t), criterion and enumerate_shadows for trial t.
     """
     agreements = skips = disagreements = satisfied_count = 0
     group = max(1, (1 << BLOCK_BITS) >> max(n, 0))  # n < 1: _draws rejects it

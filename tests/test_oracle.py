@@ -183,6 +183,65 @@ def distinct_row_cases():
     return cases
 
 
+def reference_t(uq):
+    """t = eps u of each half of snapped directions uq, shape (T, n), as
+    arrays of shape (size, T, 2^size) from an explicit sign matrix: row a
+    of a half of size k sets coordinate j to -1 when bit (k-1-j) of a is
+    set."""
+    halves = []
+    for half in np.split(uq, [uq.shape[1] // 2], axis=1):
+        k = half.shape[1]
+        bits = (np.arange(1 << k) >> np.arange(k - 1, -1, -1)[:, None]) & 1
+        halves.append((1.0 - 2.0 * bits)[:, None] * half.T[:, :, None])
+    return halves
+
+
+def reference_tables(uq):
+    """(s, t_max, t_min) of each half, reduced one coordinate at a time."""
+    return [
+        (t.sum(axis=0), t.max(axis=0, initial=-np.inf), t.min(axis=0, initial=np.inf))
+        for t in reference_t(uq)
+    ]
+
+
+class TestHalfTables:
+    def test_tables_have_the_bytes_of_the_sign_matrix(self):
+        # n = 1 has an empty A half; halves of 7 and 8 coordinates sit on
+        # either side of the leaf width; the -0.0 and zero coordinates
+        # make +-0 in t, and bytes tell +0 from -0
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([97, 8000], dtype=np.uint64))
+        )
+        cases = []
+        for n in [1, *range(14, 29), 32, 36]:
+            v = rng.integers(-3, 4, size=n).astype(np.float64)
+            v[-1] = -0.0
+            v[0] = 3.0
+            us = (maximizer(n), sample_sphere(n, 7), UnitVector(v))
+            cases += [(_snap(u.coords[None]), oracle.MAX_LIMIT) for u in us]
+        for n in range(1, 15):  # the sweep's batches
+            v = rng.integers(-3, 4, size=((1 << 14) >> n, n)).astype(np.float64)
+            v[::2] = rng.standard_normal(v[::2].shape)
+            cases.append((_snap(v), 14))
+        for uq, limit in cases:
+            got, want = oracle._tables(uq, limit), reference_tables(uq)
+            for half, ref in zip(got, want):
+                for x, y in zip(half, ref):
+                    assert x.shape == y.shape and x.tobytes() == y.tobytes(), uq.shape
+
+    def test_the_ceiling_fits_in_a_few_tables(self):
+        # the three tables of a half of 18 coordinates take 6 MiB, where
+        # its array of t = eps u alone would take 36 MiB
+        for u in (maximizer(36), sample_sphere(36, 7)):
+            tracemalloc.start()
+            try:
+                enumerate_shadows(u, oracle.MAX_LIMIT)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 << 20, (u.coords[:2], peak)
+
+
 class TestPrunedKernel:
     def test_pruned_entry_points_match_the_naive_reference_bitwise(self, monkeypatch):
         cases = pruned_kernel_cases() + distinct_row_cases()
@@ -277,7 +336,7 @@ class TestDistinctRows:
             full = oracle._tables(uq, 14)
             (_, (sb, _, _)), kept = oracle._distinct_by_sum(uq, full)
             assert (np.diff(sb[0]) >= 0).all()
-            for t, rows, table in zip(oracle._halves(uq, 14), kept, full):
+            for t, rows, table in zip(reference_t(uq), kept, full):
                 first = {}
                 for row in range(t.shape[2]):
                     rep = first.setdefault(tuple(sorted(t[:, 0, row])), row)
@@ -394,6 +453,33 @@ class TestOrthogonalityQueries:
         assert not is_orthogonal_to_some_vertex(u)
         expected = (2.0 - math.sqrt(2.0)) / 2.0
         assert min_abs_inner_product(u) == pytest.approx(expected, abs=1e-12)
+
+
+class TestInvariance:
+    def test_verdicts_ignore_order_signs_and_power_of_two_scale(self):
+        # permuting or negating input coordinates permutes or negates every
+        # vertex's t, and UnitVector drops a power-of-two scale bit for bit,
+        # so the norms and sums over all vertices are the same numbers
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([97, 9000], dtype=np.uint64))
+        )
+        for n in range(2, 25):
+            ints = rng.integers(-3, 4, size=n).astype(np.float64)
+            ints[0] = 3.0
+            for v in (rng.standard_normal(n), ints, maximizer(n).coords):
+                ref = enumerate_shadows(UnitVector(v))
+                for w in (
+                    v[rng.permutation(n)],
+                    v * rng.choice([-1.0, 1.0], size=n),
+                    np.ldexp(v, int(rng.integers(-40, 41))),
+                ):
+                    u = UnitVector(w)
+                    got = enumerate_shadows(u)
+                    assert got.best_inf_norm == ref.best_inf_norm, w
+                    assert got.exists_inside == ref.exists_inside, w
+                    assert got.min_abs_inner_product == ref.min_abs_inner_product
+                    assert min_abs_inner_product(u) == ref.min_abs_inner_product
+                    assert any_vertex_inside(u) == ref.exists_inside, w
 
 
 class TestDimensionCaps:
