@@ -37,6 +37,17 @@ the contiguous slab of B its windows span, so the pass never costs more
 than the dense one. beta = inf is the dense pass: every A-row in order
 against all of B, in equal chunks.
 
+Only the sign-matched vertex eps = sign(u), and its negation, which ties
+it bit for bit, can have a sup-norm below 1. Any other vertex has a t
+that is zero, or t of both signs, so s t_max and s t_min are not both
+positive: some t has fl(s t) <= 0, and |1 - s t| >= 1 bit for bit. Where
+that vertex's norm (_sign_matched) is below 1, that is, where the snapped
+direction has no zero coordinate and ||uq||_1 ||uq||_inf < 2 in the
+kernel's roundings (roughly, the criterion product below 2), it is the
+best norm, and _bound returns it with no search. _windows searches only
+the A-rows whose interval meets the sums of B; for a bound well below 1
+(beyond the widening) they are the at most two rows whose t share a sign.
+
 For one direction, enumerate_shadows and any_vertex_inside first cut
 each half table to distinct rows (_distinct_by_sum): the smallest row of
 each distinct multiset of t. Two rows have the same multiset exactly
@@ -118,23 +129,27 @@ def _vertex_from_code(code: int, n: int) -> Vertex:
     return Vertex((1 - 2 * bits).astype(np.int8))
 
 
-def _table(u: np.ndarray):
+def _table(u: np.ndarray, sums_only: bool = False):
     """(s, t_max, t_min), each (T, 2^k), over the sign patterns of u, shape
-    (k, T, 1): row a sets coordinate j to -1 when bit (k-1-j) of a is set."""
+    (k, T, 1): row a sets coordinate j to -1 when bit (k-1-j) of a is set.
+    With sums_only, the tuple (s,) alone."""
     k = len(u)
     if k <= _LEAF:
         t = _SIGNS[_LEAF - k :, :, : 1 << k] * u
+        if sums_only:
+            return (t.sum(0),)
         return t.sum(0), t.max(0, initial=-np.inf), t.min(0, initial=np.inf)
-    lead, trail = _table(u[: k // 2]), _table(u[k // 2 :])
+    lead, trail = _table(u[: k // 2], sums_only), _table(u[k // 2 :], sums_only)
     return tuple(
         op(x[:, :, None], y[:, None]).reshape(len(x), -1)
         for op, x, y in zip((np.add, np.maximum, np.minimum), lead, trail)
     )
 
 
-def _tables(uq: np.ndarray, n_limit: int):
+def _tables(uq: np.ndarray, n_limit: int, sums_only: bool = False):
     """The tables of A = uq[:, :n//2] and B of T snapped directions uq,
-    shape (T, n); an empty half is the row (0, -inf, +inf)."""
+    shape (T, n); an empty half is the row (0, -inf, +inf). With sums_only,
+    each half is the tuple (s,)."""
     if n_limit > MAX_LIMIT:
         raise ValueError(f"n_limit={n_limit} exceeds the ceiling of {MAX_LIMIT}")
     n = uq.shape[1]
@@ -142,7 +157,7 @@ def _tables(uq: np.ndarray, n_limit: int):
         raise DimensionTooLarge(n, n_limit)
     # coordinate axis first: reducing over it runs on contiguous rows
     u = np.ascontiguousarray(uq.T)[:, :, None]
-    return [_table(u[: n // 2]), _table(u[n // 2 :])]
+    return [_table(u[: n // 2], sums_only), _table(u[n // 2 :], sums_only)]
 
 
 def _distinct_rows(half: np.ndarray) -> np.ndarray:
@@ -150,9 +165,12 @@ def _distinct_rows(half: np.ndarray) -> np.ndarray:
     patterns of one half u of a snapped direction, in ascending order. Two
     rows have the same multiset exactly when they have, for each nonzero
     magnitude of u, the same count of positive t; a row's key is those
-    counts as the digits of a mixed-radix number, built one coordinate at a
-    time (the first is the most significant bit of the row). If every
-    magnitude is nonzero and distinct, the key is the row itself."""
+    counts as the digits of a mixed-radix number. With w_j the place value
+    of the digit of |u_j| (0 for a zero u_j), the key is the sum of w_j over
+    the positive t_j, (sum_j eps_j sgn(u_j) w_j + sum_j w_j) / 2: the sums
+    table of sgn(u) w, exact in integers, gives it for every row at once.
+    If every magnitude is nonzero and distinct, the key is the row
+    itself."""
     mags = np.abs(half).tolist()
     counts = Counter(m for m in mags if m)
     rows = 1 << len(mags)
@@ -161,10 +179,9 @@ def _distinct_rows(half: np.ndarray) -> np.ndarray:
     place, size = {}, 1  # the place value of each magnitude's digit
     for m, c in counts.items():
         place[m], size = size, size * (c + 1)
-    keys = np.zeros(1, np.intp)
-    for x, m in zip(half.tolist(), mags):  # eps = +1, then -1
-        w = place.get(m, 0)
-        keys = (keys[:, None] + [w * (x > 0), w * (x < 0)]).ravel()
+    w = np.array([place.get(m, 0) for m in mags], np.float64)
+    ((s,),) = _table((np.sign(half) * w)[:, None, None], sums_only=True)
+    keys = ((s + w.sum()) / 2).astype(np.intp)
     first = np.full(size, rows)
     np.minimum.at(first, keys, np.arange(rows))
     return np.sort(first[first < rows])
@@ -203,16 +220,25 @@ def _search(sb: np.ndarray, keys: np.ndarray, side: str = "left") -> np.ndarray:
     return found
 
 
-def _bound(uq: np.ndarray, tables) -> float:
-    """An upper bound on the best sup-norm of one snapped direction uq, B
-    in order of s: the smallest norm, by the kernel's operations, of the
-    sign-matched vertex (usually the best one when the criterion holds)
-    and of each A-row paired with the two B-rows whose sums lie nearest
-    its own best s. That s is 2 / (t_max + t_min) when the row's t share a
-    sign, else 0."""
+def _sign_matched(uq: np.ndarray) -> float:
+    """The shadow sup-norm of the sign-matched vertex eps = sign(u) of one
+    snapped direction uq, by the kernel's operations: t = |u| and s their
+    sum. Below 1, it is the best norm, and -sign(u) ties it bit for bit."""
     t = np.abs(uq)
     total = float(t.sum())  # exact in any order
-    canonical = max(abs(1.0 - total * float(x)) for x in (t.max(), t.min()))
+    return max(abs(1.0 - total * float(x)) for x in (t.max(), t.min()))
+
+
+def _bound(uq: np.ndarray, tables) -> float:
+    """An upper bound on the best sup-norm of one snapped direction uq, B
+    in order of s: the norm of the sign-matched vertex when it is below 1,
+    which no other vertex beats, else the smallest norm, by the kernel's
+    operations, of that vertex and of each A-row paired with the two
+    B-rows whose sums lie nearest its own best s. That s is
+    2 / (t_max + t_min) when the row's t share a sign, else 0."""
+    canonical = _sign_matched(uq)
+    if canonical < 1.0:
+        return canonical
     ((sa,), (hia,), (loa,)), ((sb,), (hib,), (lob,)) = tables
     with np.errstate(divide="ignore", invalid="ignore"):
         best_s = np.where(hia * loa > 0, 2.0 / (hia + loa), 0.0)
@@ -235,6 +261,8 @@ def _windows(tables, beta):
     involved, which covers the roundings of |1 - s t|, of its ends and of
     the shift: the filter drops no pair whose norm is <= beta. A t of zero
     (or +-inf, the empty half) bounds nothing unless it excludes everything.
+    Only live rows, whose interval is non-empty and meets [sb[0], sb[-1]],
+    are searched; every other row gets the empty window (0, 0).
     """
     ((sa,), (hia,), (loa,)), ((sb,), _, _) = tables
     b = beta + (1.0 + beta) * _SLACK
@@ -249,7 +277,11 @@ def _windows(tables, beta):
     lo, hi = np.clip(lo, -bound, bound), np.clip(hi, -bound, bound)
     lo = lo - sa - (np.abs(lo) + np.abs(sa)) * _SLACK
     hi = hi - sa + (np.abs(hi) + np.abs(sa)) * _SLACK
-    return _search(sb, lo, "left"), _search(sb, hi, "right")
+    live = np.flatnonzero((lo <= hi) & (hi >= sb[0]) & (lo <= sb[-1]))
+    start, stop = np.zeros((2, len(sa)), np.intp)
+    start[live] = _search(sb, lo[live], "left")
+    stop[live] = _search(sb, hi[live], "right")
+    return start, stop
 
 
 def _runs(start, stop, cap):
@@ -317,18 +349,21 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
     """Report the best shadow over all 2^n vertices.
 
     The kernel evaluates only the pairs of half rows whose window admits a
-    sup-norm up to a bound: the smallest norm of a few likely vertices,
-    among them the sign-matched one, usually the best one when the
-    criterion holds (then about 5e-4 of the pairs are evaluated at n = 24),
-    on the tables cut to distinct rows. Every pair left out has a norm
-    above the bound or that of a kept pair of smaller code, so the verdict
-    covers all 2^n vertices (vertices_checked) though not every vertex is
-    evaluated, and it is bit for bit the dense pass's. Ties in the minimal
-    sup-norm go to the lexicographically smallest sign pattern (+1 sorts
-    before -1): a chunk's tied vertices yield their smallest code, and a
-    later chunk replaces it only with a smaller norm or a smaller code, so
-    the verdict is identical for any chunk size. n_limit may not exceed
-    MAX_LIMIT.
+    sup-norm up to a bound, on the tables cut to distinct rows. Where the
+    sign-matched vertex's norm is below 1 (no zero coordinate and
+    ||uq||_1 ||uq||_inf < 2 on the snapped direction, roughly the criterion
+    product below 2), no other vertex beats it: it is the bound, found with
+    no search, and only the A-rows whose t share a sign have a window
+    (about 5e-4 of the pairs are evaluated at n = 24).
+    Otherwise the bound is the smallest norm of a few likely vertices.
+    Every pair left out has a norm above the bound or that of a kept pair
+    of smaller code, so the verdict covers all 2^n vertices
+    (vertices_checked) though not every vertex is evaluated, and it is bit
+    for bit the dense pass's. Ties in the minimal sup-norm go to the
+    lexicographically smallest sign pattern (+1 sorts before -1): a
+    chunk's tied vertices yield their smallest code, and a later chunk
+    replaces it only with a smaller norm or a smaller code, so the verdict
+    is identical for any chunk size. n_limit may not exceed MAX_LIMIT.
     """
     uq = _snap(u.coords[None])
     tables, (ia, ib) = _distinct_by_sum(uq, _tables(uq, n_limit))
@@ -409,7 +444,7 @@ def any_vertex_inside(u: UnitVector) -> bool:
 def min_abs_inner_product(u: UnitVector) -> float:
     """Smallest |<eps, u>| over all sign vectors eps, computed exactly
     on the snapped direction by a sorted merge of the half sums."""
-    ((sa,), _, _), ((sb,), _, _) = _tables(_snap(u.coords[None]), DEFAULT_LIMIT)
+    ((sa,),), ((sb,),) = _tables(_snap(u.coords[None]), DEFAULT_LIMIT, sums_only=True)
     return _min_abs_sum(sa, np.sort(sb))
 
 

@@ -389,6 +389,73 @@ class TestDistinctRows:
             assert v.orthogonal_vertex_found == (min_abs <= oracle.ORTHO_TOL)
 
 
+def boundary_family_cases():
+    """Directions (a, 1, ..., 1) with m ones and a^2 - m a + 2 m = 0, whose
+    criterion product is 2: (4, 1 x 8), (3, 1 x 9) and (6, 1 x 9), with a
+    scaled by 1 + k 1e-13 for k = -20..20, in both coordinate orders. Their
+    sign-matched norms cross 1, where the oracle's strict bound below 1
+    meets the vertices of norm near 1."""
+    cases = []
+    for a, m in ((4.0, 8), (3.0, 9), (6.0, 9)):
+        for k in range(-20, 21):
+            v = np.array([a * (1.0 + k * 1e-13)] + [1.0] * m)
+            cases += [UnitVector(v), UnitVector(v[::-1].copy())]
+    return cases
+
+
+class TestSignLemma:
+    def test_only_the_sign_matched_vertex_falls_below_one(self):
+        # a vertex whose t has a zero or both signs has some t with
+        # fl(s t) <= 0, so |1 - s t| >= 1: below 1 the best vertex is
+        # sign(u) or its negation, which tie, and the tie rule takes the one
+        # that starts with +1
+        below = 0
+        for u in pruned_kernel_cases() + distinct_row_cases():
+            uq = _snap(u.coords[None])
+            (_, hia, loa), (_, hib, lob) = tables = oracle._tables(uq, 14)
+            for _, (rows, slab), _, infs in oracle._blocks(tables):
+                hi = np.maximum(hia[0, rows, None], hib[0, None, slab])
+                lo = np.minimum(loa[0, rows, None], lob[0, None, slab])
+                mixed = (lo <= 0.0) & (hi >= 0.0)
+                assert (infs[0][mixed] >= 1.0).all(), u.coords
+            norm = oracle._sign_matched(uq)
+            if norm < 1.0:
+                below += 1
+                ref = enumerate_shadows_naive(u)
+                assert norm == ref.best_inf_norm, u.coords
+                matched = np.sign(uq[0]) * np.sign(uq[0, 0])
+                assert ref.best_vertex.signs.tolist() == matched.tolist(), u.coords
+        assert below > 0
+
+    def test_a_criterion_holding_direction_searches_only_matched_rows(
+        self, monkeypatch
+    ):
+        # the bound is the sign-matched norm with no search, and the windows
+        # search only the two A-rows whose t share a sign, a key each for
+        # start and stop
+        search, keys = oracle._search, []
+
+        def counted(sb, k, side="left"):
+            keys.append(k.size)
+            return search(sb, k, side)
+
+        u = sample_sphere(20, 5)
+        assert criterion(u).satisfied
+        monkeypatch.setattr(oracle, "_search", counted)
+        assert enumerate_shadows(u).best_inf_norm < 1.0
+        assert 0 < sum(keys) <= 4
+
+    def test_the_boundary_family_at_product_two_matches_the_naive_reference(self):
+        cases, below = boundary_family_cases(), 0
+        for u in cases:
+            ref = enumerate_shadows_naive(u)
+            below += ref.best_inf_norm < 1.0
+            assert verdicts_equal(enumerate_shadows(u), ref), u.coords
+            assert any_vertex_inside(u) == ref.exists_inside, u.coords
+            assert min_abs_inner_product(u) == ref.min_abs_inner_product, u.coords
+        assert 0 < below < len(cases)
+
+
 class TestVerdictContents:
     def test_axis_direction_boundary_shadows(self):
         v = enumerate_shadows(u_of(1.0, 0.0))
