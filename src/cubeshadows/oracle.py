@@ -44,9 +44,8 @@ positive: some t has fl(s t) <= 0, and |1 - s t| >= 1 bit for bit. Where
 that vertex's norm (_sign_matched) is below 1, that is, where the snapped
 direction has no zero coordinate and ||uq||_1 ||uq||_inf < 2 in the
 kernel's roundings (roughly, the criterion product below 2), it is the
-best norm, and _bound returns it with no search. _windows searches only
-the A-rows whose interval meets the sums of B; for a bound well below 1
-(beyond the widening) they are the at most two rows whose t share a sign.
+best norm, and enumerate_shadows returns that vertex, +1 first, with no
+search. The search therefore only ever takes a bound of 1 or more.
 
 For one direction, enumerate_shadows and any_vertex_inside first cut
 each half table to distinct rows (_distinct_by_sum): the smallest row of
@@ -229,16 +228,12 @@ def _sign_matched(uq: np.ndarray) -> float:
     return max(abs(1.0 - total * float(x)) for x in (t.max(), t.min()))
 
 
-def _bound(uq: np.ndarray, tables) -> float:
-    """An upper bound on the best sup-norm of one snapped direction uq, B
-    in order of s: the norm of the sign-matched vertex when it is below 1,
-    which no other vertex beats, else the smallest norm, by the kernel's
-    operations, of that vertex and of each A-row paired with the two
-    B-rows whose sums lie nearest its own best s. That s is
+def _bound(tables, matched: float) -> float:
+    """An upper bound on the best sup-norm of one direction, B in order of
+    s, whose sign-matched vertex has the norm matched: the smallest norm, by
+    the kernel's operations, of that vertex and of each A-row paired with
+    the two B-rows whose sums lie nearest its own best s. That s is
     2 / (t_max + t_min) when the row's t share a sign, else 0."""
-    canonical = _sign_matched(uq)
-    if canonical < 1.0:
-        return canonical
     ((sa,), (hia,), (loa,)), ((sb,), (hib,), (lob,)) = tables
     with np.errstate(divide="ignore", invalid="ignore"):
         best_s = np.where(hia * loa > 0, 2.0 / (hia + loa), 0.0)
@@ -247,7 +242,7 @@ def _bound(uq: np.ndarray, tables) -> float:
     s = sa + sb[j]
     hi, lo = np.maximum(hia, hib[j]), np.minimum(loa, lob[j])
     norms = np.maximum(np.abs(1.0 - s * hi), np.abs(1.0 - s * lo))
-    return min(canonical, float(norms.min()))
+    return min(matched, float(norms.min()))
 
 
 def _windows(tables, beta):
@@ -261,8 +256,9 @@ def _windows(tables, beta):
     involved, which covers the roundings of |1 - s t|, of its ends and of
     the shift: the filter drops no pair whose norm is <= beta. A t of zero
     (or +-inf, the empty half) bounds nothing unless it excludes everything.
-    Only live rows, whose interval is non-empty and meets [sb[0], sb[-1]],
-    are searched; every other row gets the empty window (0, 0).
+    A row whose interval is empty or misses the sums of B gets start >=
+    stop; for the bounds of 1 or more that the oracle takes, every interval
+    holds s = 0.
     """
     ((sa,), (hia,), (loa,)), ((sb,), _, _) = tables
     b = beta + (1.0 + beta) * _SLACK
@@ -277,11 +273,7 @@ def _windows(tables, beta):
     lo, hi = np.clip(lo, -bound, bound), np.clip(hi, -bound, bound)
     lo = lo - sa - (np.abs(lo) + np.abs(sa)) * _SLACK
     hi = hi - sa + (np.abs(hi) + np.abs(sa)) * _SLACK
-    live = np.flatnonzero((lo <= hi) & (hi >= sb[0]) & (lo <= sb[-1]))
-    start, stop = np.zeros((2, len(sa)), np.intp)
-    start[live] = _search(sb, lo[live], "left")
-    stop[live] = _search(sb, hi[live], "right")
-    return start, stop
+    return _search(sb, lo, "left"), _search(sb, hi, "right")
 
 
 def _runs(start, stop, cap):
@@ -345,31 +337,52 @@ def _blocks(tables, beta=np.inf):
             yield d0, (rows[r], c), s, np.maximum(hi, lo, out=hi)
 
 
+def _verdict(best_inf: float, best_vertex: Vertex, min_abs_ip: float) -> OracleVerdict:
+    """The one place where INSIDE_TOL and ORTHO_TOL turn norms into flags."""
+    return OracleVerdict(
+        exists_inside=bool(best_inf <= 1.0 + INSIDE_TOL),
+        best_vertex=best_vertex,
+        best_inf_norm=best_inf,
+        vertices_checked=1 << best_vertex.n,
+        orthogonal_vertex_found=bool(min_abs_ip <= ORTHO_TOL),
+        min_abs_inner_product=min_abs_ip,
+    )
+
+
+def _min_abs_ip(uq: np.ndarray, n_limit: int) -> float:
+    """min |<eps, uq>| of one snapped direction uq, shape (1, n), exactly,
+    by a sorted merge of the sums-only half tables."""
+    ((sa,),), ((sb,),) = _tables(uq, n_limit, sums_only=True)
+    return _min_abs_sum(sa, np.sort(sb))
+
+
 def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerdict:
     """Report the best shadow over all 2^n vertices.
 
-    The kernel evaluates only the pairs of half rows whose window admits a
-    sup-norm up to a bound, on the tables cut to distinct rows. Where the
-    sign-matched vertex's norm is below 1 (no zero coordinate and
+    Where the sign-matched vertex's norm is below 1 (no zero coordinate and
     ||uq||_1 ||uq||_inf < 2 on the snapped direction, roughly the criterion
-    product below 2), no other vertex beats it: it is the bound, found with
-    no search, and only the A-rows whose t share a sign have a window
-    (about 5e-4 of the pairs are evaluated at n = 24).
-    Otherwise the bound is the smallest norm of a few likely vertices.
-    Every pair left out has a norm above the bound or that of a kept pair
-    of smaller code, so the verdict covers all 2^n vertices
-    (vertices_checked) though not every vertex is evaluated, and it is bit
-    for bit the dense pass's. Ties in the minimal sup-norm go to the
-    lexicographically smallest sign pattern (+1 sorts before -1): a
+    product below 2), no other vertex beats it, and that vertex, +1 first,
+    is the verdict with no search. Otherwise the kernel evaluates, on the
+    tables cut to distinct rows, only the pairs of half rows whose window
+    admits a sup-norm up to a bound: the smallest norm of a few likely
+    vertices, 1 or more. Every pair left out has a norm above the bound or
+    that of a kept pair of smaller code, so the verdict covers all 2^n
+    vertices (vertices_checked) though not every vertex is evaluated, and
+    it is bit for bit the dense pass's. Ties in the minimal sup-norm go to
+    the lexicographically smallest sign pattern (+1 sorts before -1): a
     chunk's tied vertices yield their smallest code, and a later chunk
     replaces it only with a smaller norm or a smaller code, so the verdict
     is identical for any chunk size. n_limit may not exceed MAX_LIMIT.
     """
     uq = _snap(u.coords[None])
+    matched = _sign_matched(uq)
+    if matched < 1.0:  # no zero coordinate: sign(uq) is a vertex
+        best = Vertex(np.sign(uq[0]) * np.sign(uq[0, 0]))
+        return _verdict(matched, best, _min_abs_ip(uq, n_limit))
     tables, (ia, ib) = _distinct_by_sum(uq, _tables(uq, n_limit))
     w = u.n - u.n // 2
     best_inf, best_code = np.inf, 1 << u.n
-    for _, (rows, slab), _, infs in _blocks(tables, _bound(uq, tables)):
+    for _, (rows, slab), _, infs in _blocks(tables, _bound(tables, matched)):
         low = infs.min()
         rows = ia[rows]
         if low > best_inf or (low == best_inf and int(rows.min()) << w > best_code):
@@ -379,16 +392,7 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
         if low < best_inf or code < best_code:
             best_inf, best_code = float(low), code
     ((sa,), _, _), ((sb,), _, _) = tables
-    min_abs_ip = _min_abs_sum(sa, sb)
-
-    return OracleVerdict(
-        exists_inside=bool(best_inf <= 1.0 + INSIDE_TOL),
-        best_vertex=_vertex_from_code(best_code, u.n),
-        best_inf_norm=best_inf,
-        vertices_checked=1 << u.n,
-        orthogonal_vertex_found=bool(min_abs_ip <= ORTHO_TOL),
-        min_abs_inner_product=min_abs_ip,
-    )
+    return _verdict(best_inf, _vertex_from_code(best_code, u.n), _min_abs_sum(sa, sb))
 
 
 def enumerate_shadows_naive(u: UnitVector, n_limit: int = 20) -> OracleVerdict:
@@ -420,14 +424,7 @@ def enumerate_shadows_naive(u: UnitVector, n_limit: int = 20) -> OracleVerdict:
             best_inf, best_code = float(infs[i]), c0 + i
         min_abs_ip = min(min_abs_ip, float(np.abs(s).min()))
 
-    return OracleVerdict(
-        exists_inside=bool(best_inf <= 1.0 + INSIDE_TOL),
-        best_vertex=_vertex_from_code(best_code, n),
-        best_inf_norm=best_inf,
-        vertices_checked=1 << n,
-        orthogonal_vertex_found=bool(min_abs_ip <= ORTHO_TOL),
-        min_abs_inner_product=min_abs_ip,
-    )
+    return _verdict(best_inf, _vertex_from_code(best_code, n), min_abs_ip)
 
 
 def any_vertex_inside(u: UnitVector) -> bool:
@@ -444,8 +441,7 @@ def any_vertex_inside(u: UnitVector) -> bool:
 def min_abs_inner_product(u: UnitVector) -> float:
     """Smallest |<eps, u>| over all sign vectors eps, computed exactly
     on the snapped direction by a sorted merge of the half sums."""
-    ((sa,),), ((sb,),) = _tables(_snap(u.coords[None]), DEFAULT_LIMIT, sums_only=True)
-    return _min_abs_sum(sa, np.sort(sb))
+    return _min_abs_ip(_snap(u.coords[None]), DEFAULT_LIMIT)
 
 
 def is_orthogonal_to_some_vertex(u: UnitVector) -> bool:
@@ -472,6 +468,8 @@ def agreement_sweep(n: int, trials: int, seed: int) -> AgreementStats:
     UnitVector is built per trial, and the tally has the bits of
     sample_sphere(n, seed, t), criterion and enumerate_shadows for trial t.
     """
+    if trials < 0:
+        raise ValueError(f"need trials >= 0, got {trials}")
     agreements = skips = disagreements = satisfied_count = 0
     group = max(1, (1 << BLOCK_BITS) >> max(n, 0))  # n < 1: _draws rejects it
     draws = _draws(n, seed, range(trials))

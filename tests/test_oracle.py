@@ -231,8 +231,10 @@ class TestHalfTables:
 
     def test_the_ceiling_fits_in_a_few_tables(self):
         # the three tables of a half of 18 coordinates take 6 MiB, where
-        # its array of t = eps u alone would take 36 MiB
-        for u in (maximizer(36), sample_sphere(36, 7)):
+        # its array of t = eps u alone would take 36 MiB; sample_sphere(36,
+        # 7) is decided by its sign-matched vertex and (36, 1), with that
+        # vertex's norm at 1.23, by the search
+        for u in (maximizer(36), sample_sphere(36, 7), sample_sphere(36, 1)):
             tracemalloc.start()
             try:
                 enumerate_shadows(u, oracle.MAX_LIMIT)
@@ -258,8 +260,8 @@ class TestPrunedKernel:
 
     def test_pruning_leaves_the_dense_pass_unused(self, monkeypatch):
         # at n = 20 the inside-only question on the maximizer, which has no
-        # inside vertex, and a criterion-holding direction both finish
-        # without the beta = inf pass and evaluate few of the 2^20 pairs
+        # inside vertex, finishes without the beta = inf pass and evaluates
+        # few of the 2^20 pairs; a criterion-holding direction evaluates none
         blocks, pairs = oracle._blocks, []
 
         def pruned_only(tables, beta=np.inf):
@@ -274,8 +276,10 @@ class TestPrunedKernel:
         ref = enumerate_shadows_naive(u)
         monkeypatch.setattr(oracle, "_blocks", pruned_only)
         assert not any_vertex_inside(maximizer(20))
-        assert verdicts_equal(enumerate_shadows(u), ref)
         assert 0 < sum(pairs) < (1 << 20) // 64
+        searched = sum(pairs)
+        assert verdicts_equal(enumerate_shadows(u), ref)
+        assert sum(pairs) == searched
 
     def test_windows_hold_every_pair_at_or_below_the_bound(self):
         # bounds equal to pair norms put pairs exactly on a window's edge
@@ -307,7 +311,7 @@ class TestPrunedKernel:
             seen = []
             for search in searches:
                 monkeypatch.setattr(oracle, "_search", search)
-                bound = oracle._bound(uq, tables)
+                bound = oracle._bound(tables, oracle._sign_matched(uq))
                 windows = [oracle._windows(tables, b) for b in betas + [bound]]
                 seen.append((bound, [np.stack(w).tolist() for w in windows]))
             assert seen[0] == seen[1], u.coords
@@ -427,23 +431,50 @@ class TestSignLemma:
                 assert ref.best_vertex.signs.tolist() == matched.tolist(), u.coords
         assert below > 0
 
-    def test_a_criterion_holding_direction_searches_only_matched_rows(
-        self, monkeypatch
-    ):
-        # the bound is the sign-matched norm with no search, and the windows
-        # search only the two A-rows whose t share a sign, a key each for
-        # start and stop
-        search, keys = oracle._search, []
+    def test_a_criterion_holding_direction_runs_no_search(self, monkeypatch):
+        # a sign-matched norm below 1 is the verdict: no t_max or t_min
+        # table is built and no step of the search runs
+        table = oracle._table
 
-        def counted(sb, k, side="left"):
-            keys.append(k.size)
-            return search(sb, k, side)
+        def sums_only(u, sums_only=False):
+            assert sums_only, "t_max and t_min tables"
+            return table(u, sums_only)
+
+        def searched(*_):
+            raise AssertionError("search")
 
         u = sample_sphere(20, 5)
         assert criterion(u).satisfied
-        monkeypatch.setattr(oracle, "_search", counted)
-        assert enumerate_shadows(u).best_inf_norm < 1.0
-        assert 0 < sum(keys) <= 4
+        ref = enumerate_shadows_naive(u)
+        monkeypatch.setattr(oracle, "_table", sums_only)
+        for name in ("_distinct_by_sum", "_bound", "_windows", "_blocks"):
+            monkeypatch.setattr(oracle, name, searched)
+        assert verdicts_equal(enumerate_shadows(u), ref)
+
+    def test_the_closed_form_matches_the_dense_pass_beyond_the_reference(self):
+        # the naive reference stops at n = 20; here the dense pass over all
+        # 2^n pairs gives the best norm, its smallest tied code and min |s|
+        for n in (22, 24):
+            w = n - n // 2
+            for seed in (0, 2, 3):
+                u = sample_sphere(n, seed)
+                uq = _snap(u.coords[None])
+                assert oracle._sign_matched(uq) < 1.0, (n, seed)
+                best_inf, best_code, abs_ip = np.inf, None, np.inf
+                for _, (rows, slab), s, infs in oracle._blocks(oracle._tables(uq, n)):
+                    abs_ip = min(abs_ip, float(np.abs(s).min()))
+                    low = infs.min()
+                    if low <= best_inf:
+                        r, c = np.nonzero(infs[0] == low)
+                        code = int(((rows[r] << w) + slab.start + c).min())
+                        if low < best_inf or code < best_code:
+                            best_inf, best_code = float(low), code
+                v = enumerate_shadows(u)
+                assert v.best_inf_norm == best_inf, (n, seed)
+                want = oracle._vertex_from_code(best_code, n).signs
+                assert v.best_vertex.signs.tolist() == want.tolist(), (n, seed)
+                assert v.exists_inside and v.vertices_checked == 1 << n
+                assert v.min_abs_inner_product == abs_ip == min_abs_inner_product(u)
 
     def test_the_boundary_family_at_product_two_matches_the_naive_reference(self):
         cases, below = boundary_family_cases(), 0
@@ -711,6 +742,10 @@ class TestAgreementSweep:
         assert peak < 1 << 20  # one row would take 8 MiB
         for n in (0, MAX_DIMENSION + 1):
             assert agreement_sweep(n, 0, 5) == AgreementStats(n, 0, 5, 0, 0, 0, 0)
+
+    def test_negative_trials_are_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            agreement_sweep(3, -2, 0)
 
     def test_cap_applies_only_when_there_are_trials(self):
         with pytest.raises(DimensionTooLarge):
