@@ -92,7 +92,7 @@ class UnitVector:
         return self.coords.size
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Vertex:
     """A cube vertex: a sign vector with every entry exactly +1 or -1."""
 

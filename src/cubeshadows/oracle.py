@@ -47,17 +47,20 @@ kernel's roundings (roughly, the criterion product below 2), it is the
 best norm, and enumerate_shadows returns that vertex, +1 first, with no
 search. The search therefore only ever takes a bound of 1 or more.
 
-For one direction, enumerate_shadows and any_vertex_inside first cut
-each half table to distinct rows (_distinct_by_sum): the smallest row of
-each distinct multiset of t. Two rows have the same multiset exactly
-when, for each magnitude of u in the half, they have the same count of
-positive t. Exact sums then give equal multisets bit-identical (s, t_max,
-t_min), up to the sign of a zero that no norm or sum sees, so no pair
-norm or sum changes; and as a code is a 2^|B| + b, the smallest code
-among tied class pairs is that of their smallest rows: the tie rule
-holds. maximizer(n), whose best vertices tie by the thousands, keeps
-about n rows per half instead of 2^(n/2); a half whose magnitudes are
-nonzero and distinct, as in a random direction, keeps every row.
+For one direction, enumerate_shadows and any_vertex_inside build each
+half table with only one row per distinct multiset of t (_class_table).
+Two rows have the same multiset exactly when, for each magnitude of u in
+the half, they have the same count of positive t. Exact sums give equal
+multisets bit-identical (s, t_max, t_min), up to the sign of a zero that
+no norm or sum sees, so no pair norm or sum changes; each row carries the
+smallest row of the full half with its multiset, and as a code is a
+2^|B| + b, the smallest code among tied class pairs is that of their
+smallest rows: the tie rule holds. maximizer(n), whose best vertices tie
+by the thousands, has about n rows per half instead of 2^(n/2); a half
+whose magnitudes are nonzero and distinct, as in a random direction,
+keeps every row. Tables of at most 2^BLOCK_BITS pairs, as for
+maximizer(n) up to MAX_LIMIT and any direction up to n = 14, fill one
+dense chunk, with no bound or window.
 
 The tables carry a leading batch axis of T directions, and the dense
 pass cuts the vertices of the batch into chunks of about 2^BLOCK_BITS:
@@ -67,9 +70,9 @@ A-row. The public entry points are the case T = 1.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from functools import reduce
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -92,7 +95,7 @@ _LEAF = 7  # a table of at most this many coordinates reads _SIGNS
 _SIGNS = 1.0 - 2.0 * ((np.arange(1 << _LEAF) >> np.arange(_LEAF)[::-1, None, None]) & 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class OracleVerdict:
     """Result of checking every vertex of the cube against the section."""
 
@@ -138,64 +141,81 @@ def _table(u: np.ndarray, sums_only: bool = False):
         if sums_only:
             return (t.sum(0),)
         return t.sum(0), t.max(0, initial=-np.inf), t.min(0, initial=np.inf)
-    lead, trail = _table(u[: k // 2], sums_only), _table(u[k // 2 :], sums_only)
+    return _pair(_table(u[: k // 2], sums_only), _table(u[k // 2 :], sums_only))
+
+
+def _pair(lead, trail):
+    """The table of every row of lead, the high bits, with every row of
+    trail, of the same T directions: outer sums of s, maxima of t_max and
+    minima of t_min, and sums of the row indexes that a fourth entry may
+    carry, whose bits are disjoint."""
     return tuple(
         op(x[:, :, None], y[:, None]).reshape(len(x), -1)
-        for op, x, y in zip((np.add, np.maximum, np.minimum), lead, trail)
+        for op, x, y in zip((np.add, np.maximum, np.minimum, np.add), lead, trail)
     )
+
+
+def _check_limit(n: int, n_limit: int) -> None:
+    """The caps, checked before any table of n coordinates is built."""
+    if n_limit > MAX_LIMIT:
+        raise ValueError(f"n_limit={n_limit} exceeds the ceiling of {MAX_LIMIT}")
+    if n > n_limit:
+        raise DimensionTooLarge(n, n_limit)
 
 
 def _tables(uq: np.ndarray, n_limit: int, sums_only: bool = False):
     """The tables of A = uq[:, :n//2] and B of T snapped directions uq,
     shape (T, n); an empty half is the row (0, -inf, +inf). With sums_only,
     each half is the tuple (s,)."""
-    if n_limit > MAX_LIMIT:
-        raise ValueError(f"n_limit={n_limit} exceeds the ceiling of {MAX_LIMIT}")
     n = uq.shape[1]
-    if n > n_limit:
-        raise DimensionTooLarge(n, n_limit)
+    _check_limit(n, n_limit)
     # coordinate axis first: reducing over it runs on contiguous rows
     u = np.ascontiguousarray(uq.T)[:, :, None]
     return [_table(u[: n // 2], sums_only), _table(u[n // 2 :], sums_only)]
 
 
-def _distinct_rows(half: np.ndarray) -> np.ndarray:
-    """The smallest row of each distinct multiset of t = eps u over the sign
-    patterns of one half u of a snapped direction, in ascending order. Two
-    rows have the same multiset exactly when they have, for each nonzero
-    magnitude of u, the same count of positive t; a row's key is those
-    counts as the digits of a mixed-radix number. With w_j the place value
-    of the digit of |u_j| (0 for a zero u_j), the key is the sum of w_j over
-    the positive t_j, (sum_j eps_j sgn(u_j) w_j + sum_j w_j) / 2: the sums
-    table of sgn(u) w, exact in integers, gives it for every row at once.
-    If every magnitude is nonzero and distinct, the key is the row
-    itself."""
-    mags = np.abs(half).tolist()
-    counts = Counter(m for m in mags if m)
-    rows = 1 << len(mags)
-    if len(counts) == len(mags):
-        return np.arange(rows)
-    place, size = {}, 1  # the place value of each magnitude's digit
-    for m, c in counts.items():
-        place[m], size = size, size * (c + 1)
-    w = np.array([place.get(m, 0) for m in mags], np.float64)
-    ((s,),) = _table((np.sign(half) * w)[:, None, None], sums_only=True)
-    keys = ((s + w.sum()) / 2).astype(np.intp)
-    first = np.full(size, rows)
-    np.minimum.at(first, keys, np.arange(rows))
-    return np.sort(first[first < rows])
+def _class_table(u: np.ndarray):
+    """(s, t_max, t_min, row), each (1, rows), for one half u of a snapped
+    direction: one row per distinct multiset of t = eps u, and row the
+    smallest row of the full half table (_table) with that multiset.
+
+    The coordinates of one magnitude m > 0 form a class, c of them: P,
+    those with u > 0, and N, in coordinate order. Its multisets are the
+    counts p = 0..c of positive t, with s = (2p - c) m, exact, t_max = m
+    (-m if p = 0) and t_min = -m (m if p = c). The smallest row with p
+    positive t negates the last |P| - p coordinates of P if p <= |P|, else
+    the last p - |P| of N. Zero coordinates together are one row, t = 0.
+    Classes have disjoint bits, so their tables pair like quarters (_pair).
+    A half whose magnitudes are nonzero and distinct keeps every row, and
+    the plain build."""
+    k, classes = len(u), {}
+    for j, x in enumerate(u.tolist()):
+        signs = classes.setdefault(abs(x), ([], []))
+        if x:  # zeros stay a class of no signs: one row, t = +-0, no bit set
+            signs[x < 0].append(1 << (k - 1 - j))
+    if len(classes) == k and 0.0 not in classes:
+        return (*_table(u[:, None, None]), np.arange(1 << k)[None])
+    tables = []
+    for m, (pos, neg) in classes.items():
+        c = len(pos) + len(neg)
+        s = [(2 * p - c) * m for p in range(c + 1)]
+        # bits of P[p:] for p <= |P|, then of the last 1, 2, ... of N
+        rows = [*accumulate(reversed(pos), initial=0)][::-1]
+        rows += accumulate(reversed(neg))
+        table = np.array([s, [-m] + [m] * c, [-m] * c + [m]])[:, None]
+        tables.append((*table, np.array(rows)[None]))
+    return reduce(_pair, tables)
 
 
-def _distinct_by_sum(uq: np.ndarray, tables):
-    """The tables of one snapped direction uq, shape (1, n), cut to the
-    smallest row of each distinct multiset of t in each half, B in order of
+def _distinct_tables(uq: np.ndarray, n_limit: int):
+    """The tables of one snapped direction uq, shape (1, n), with one row
+    per distinct multiset of t in each half (_class_table), B in order of
     s, and the row of the full half that each entry stands for."""
-    (a, b), h = tables, uq.shape[1] // 2
-    ia, ib = _distinct_rows(uq[0, :h]), _distinct_rows(uq[0, h:])
-    ib = ib[np.argsort(b[0][0, ib])]
-    if len(ia) < a[0].shape[1]:
-        a = tuple(x[:, ia] for x in a)
-    return (a, tuple(x[:, ib] for x in b)), (ia, ib)
+    _check_limit(uq.shape[1], n_limit)
+    h = uq.shape[1] // 2
+    (*a, ia), (*b, ib) = _class_table(uq[0, :h]), _class_table(uq[0, h:])
+    order = np.argsort(b[0][0])
+    return (tuple(a), tuple(x[:, order] for x in b)), (ia[0], ib[0, order])
 
 
 def _min_abs_sum(sa: np.ndarray, sb: np.ndarray) -> float:
@@ -309,15 +329,17 @@ def _blocks(tables, beta=np.inf):
     2^BLOCK_BITS vertices that hold every vertex whose sup-norm is <= beta.
     A-rows number rows of A and the B-slab is a slice of B, in the tables
     as given. A chunk is whole directions while they fit, else one
-    direction and a run of A-rows. With beta = inf the runs have equal
-    lengths, come in order and pair with all of B. A finite beta takes one
-    direction with B in order of s (_distinct_by_sum), and each run pairs
-    with the slab that its rows' windows span. Every shadow reduction runs
-    over this one loop."""
+    direction and a run of A-rows. With beta = inf, or one direction whose
+    pairs fit in one chunk, the pass is dense: the runs have equal
+    lengths, come in order and pair with all of B. Otherwise a finite beta
+    takes one direction with B in order of s (_distinct_tables), and each
+    run pairs with the slab that its rows' windows span. Every shadow
+    reduction runs over this one loop."""
     (sa, hia, loa), (sb, hib, lob) = tables
-    dirs = max(1, (1 << BLOCK_BITS) // (sa.shape[1] * sb.shape[1]))
+    pairs = sa.shape[1] * sb.shape[1]
+    dirs = max(1, (1 << BLOCK_BITS) // pairs)
     cap = (1 << BLOCK_BITS) // dirs
-    if beta == np.inf:
+    if beta == np.inf or pairs <= cap:  # or one chunk holds every pair
         rows, step = np.arange(sa.shape[1]), max(1, cap // sb.shape[1])
         runs = [(i, i + step, 0, sb.shape[1]) for i in range(0, len(rows), step)]
     else:
@@ -362,27 +384,32 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
     Where the sign-matched vertex's norm is below 1 (no zero coordinate and
     ||uq||_1 ||uq||_inf < 2 on the snapped direction, roughly the criterion
     product below 2), no other vertex beats it, and that vertex, +1 first,
-    is the verdict with no search. Otherwise the kernel evaluates, on the
-    tables cut to distinct rows, only the pairs of half rows whose window
-    admits a sup-norm up to a bound: the smallest norm of a few likely
-    vertices, 1 or more. Every pair left out has a norm above the bound or
-    that of a kept pair of smaller code, so the verdict covers all 2^n
-    vertices (vertices_checked) though not every vertex is evaluated, and
-    it is bit for bit the dense pass's. Ties in the minimal sup-norm go to
-    the lexicographically smallest sign pattern (+1 sorts before -1): a
-    chunk's tied vertices yield their smallest code, and a later chunk
-    replaces it only with a smaller norm or a smaller code, so the verdict
-    is identical for any chunk size. n_limit may not exceed MAX_LIMIT.
+    is the verdict with no search. Otherwise the kernel pairs the rows of
+    distinct multisets of t in each half: all pairs where they fit in one
+    chunk, else only those whose window admits a sup-norm up to a bound,
+    the smallest norm of a few likely vertices, 1 or more. Every vertex
+    left out has a norm above the bound or that of a kept pair of smaller
+    code, so the verdict covers all 2^n vertices (vertices_checked) though
+    not every vertex is evaluated, and it is bit for bit the dense pass's.
+    Ties in the minimal sup-norm go to the lexicographically smallest sign
+    pattern (+1 sorts before -1): a chunk's tied vertices yield their
+    smallest code, and a later chunk replaces it only with a smaller norm
+    or a smaller code, so the verdict is identical for any chunk size.
+    n_limit may not exceed MAX_LIMIT.
     """
     uq = _snap(u.coords[None])
     matched = _sign_matched(uq)
     if matched < 1.0:  # no zero coordinate: sign(uq) is a vertex
         best = Vertex(np.sign(uq[0]) * np.sign(uq[0, 0]))
         return _verdict(matched, best, _min_abs_ip(uq, n_limit))
-    tables, (ia, ib) = _distinct_by_sum(uq, _tables(uq, n_limit))
+    tables, (ia, ib) = _distinct_tables(uq, n_limit)
+    ((sa,), _, _), ((sb,), _, _) = tables
+    fits = len(sa) * len(sb) <= 1 << BLOCK_BITS  # one dense chunk of _blocks
     w = u.n - u.n // 2
     best_inf, best_code = np.inf, 1 << u.n
-    for _, (rows, slab), _, infs in _blocks(tables, _bound(tables, matched)):
+    for _, (rows, slab), _, infs in _blocks(
+        tables, np.inf if fits else _bound(tables, matched)
+    ):
         low = infs.min()
         rows = ia[rows]
         if low > best_inf or (low == best_inf and int(rows.min()) << w > best_code):
@@ -391,7 +418,6 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
         code = int(((rows[r] << w) + ib[slab][c]).min())
         if low < best_inf or code < best_code:
             best_inf, best_code = float(low), code
-    ((sa,), _, _), ((sb,), _, _) = tables
     return _verdict(best_inf, _vertex_from_code(best_code, u.n), _min_abs_sum(sa, sb))
 
 
@@ -428,12 +454,14 @@ def enumerate_shadows_naive(u: UnitVector, n_limit: int = 20) -> OracleVerdict:
 
 
 def any_vertex_inside(u: UnitVector) -> bool:
-    """Boolean-only query: evaluates only the pairs that can reach a
-    sup-norm of 1 + INSIDE_TOL (a few thousand of the 2^24 at n = 24), and
-    stops at the first chunk with an inside vertex."""
+    """Boolean-only query: on the rows of distinct multisets of t in each
+    half, evaluates every pair where they fit in one chunk (312 for the 2^24
+    vertices of maximizer(24)), else only the pairs that can reach a
+    sup-norm of 1 + INSIDE_TOL, and stops at the first chunk with an inside
+    vertex."""
     beta = 1.0 + INSIDE_TOL
     uq = _snap(u.coords[None])
-    tables, _ = _distinct_by_sum(uq, _tables(uq, DEFAULT_LIMIT))
+    tables, _ = _distinct_tables(uq, DEFAULT_LIMIT)
     blocks = _blocks(tables, beta)
     return any(float(infs.min()) <= beta for *_, infs in blocks)
 

@@ -163,11 +163,23 @@ def distinct_row_cases():
     integer cases of pruned_kernel_cases() do not: equal magnitudes of
     mixed sign, several zero coordinates, and maximizer(n) with its large
     coordinate moved to the middle or the end or with some coordinates
-    negated."""
+    negated; and halves that are one class, alternate the sign of one
+    magnitude in either order, or hold several zeros and -0.0."""
     rng = np.random.Generator(
         np.random.Philox(key=np.array([97, 6000], dtype=np.uint64))
     )
-    cases = []
+    cases = [
+        u_of(*[1.0] * 8),
+        u_of(*[-2.0] * 7),
+        u_of(*[1.0, -1.0] * 4),
+        u_of(*[-1.0, 1.0] * 4),
+        u_of(*[1.0, -1.0] * 3, *[-1.0, 1.0] * 3),
+        u_of(2.0, -2.0, 2.0, 1.0, -1.0, -2.0, 1.0, 2.0, -1.0),
+        u_of(1.0, 0.0, 0.0, -1.0, 0.0, 3.0, 0.0, 0.0, 0.0, 1.0),
+        u_of(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0),
+        u_of(1.0, -0.0, 1.0, -1.0, -0.0, 0.0, -1.0, -0.0),
+        u_of(-0.0, 2.0, -0.0, -2.0),
+    ]
     for n in range(2, 15):
         cases.append(UnitVector(np.resize([3.0, -3.0, 3.0, -3.0, 1.0], n)))
         v = rng.choice([-2.0, -1.0, 1.0, 2.0], size=n)
@@ -285,7 +297,7 @@ class TestPrunedKernel:
         # bounds equal to pair norms put pairs exactly on a window's edge
         for u in pruned_kernel_cases() + distinct_row_cases():
             uq = _snap(u.coords[None])
-            tables, _ = oracle._distinct_by_sum(uq, oracle._tables(uq, 14))
+            tables, _ = oracle._distinct_tables(uq, 14)
             [(*_, infs)] = oracle._blocks(tables)  # one chunk up to n = 14
             norms = np.unique(infs)
             for beta in norms[:: max(1, len(norms) // 16)]:
@@ -306,7 +318,7 @@ class TestPrunedKernel:
         cases = pruned_kernel_cases() + [random_direction(20, 5100), maximizer(20)]
         for u in cases:
             uq = _snap(u.coords[None])
-            tables, _ = oracle._distinct_by_sum(uq, oracle._tables(uq, 20))
+            tables, _ = oracle._distinct_tables(uq, 20)
             betas = [1.0 + oracle.INSIDE_TOL, 0.0, 1.0, 1.5, 3.0]
             seen = []
             for search in searches:
@@ -332,21 +344,51 @@ class TestPrunedKernel:
 
 class TestDistinctRows:
     def test_kept_rows_are_the_smallest_of_each_multiset(self):
-        # a brute-force dict over the full half tables: the first row of
+        # a brute-force dict over every row of each half: the first row of
         # each sorted tuple of t, and that row's (s, t_max, t_min) for
-        # every row of the class (+-0 compare equal, as in |1 - s t|)
+        # every row of the class (+-0 compare equal, as in |1 - s t|); the
+        # class build keeps exactly those first rows, with that triple
         for u in pruned_kernel_cases() + distinct_row_cases():
             uq = _snap(u.coords[None])
-            full = oracle._tables(uq, 14)
-            (_, (sb, _, _)), kept = oracle._distinct_by_sum(uq, full)
-            assert (np.diff(sb[0]) >= 0).all()
-            for t, rows, table in zip(reference_t(uq), kept, full):
+            (a, b), kept = oracle._distinct_tables(uq, 14)
+            assert (np.diff(b[0][0]) >= 0).all()
+            halves = zip(reference_t(uq), reference_tables(uq), kept, (a, b))
+            for t, ref, rows, table in halves:
                 first = {}
                 for row in range(t.shape[2]):
                     rep = first.setdefault(tuple(sorted(t[:, 0, row])), row)
-                    triple = [x[0, row] for x in table]
-                    assert triple == [x[0, rep] for x in table], (u.coords, row)
+                    triple = [x[0, row] for x in ref]
+                    assert triple == [x[0, rep] for x in ref], (u.coords, row)
                 assert sorted(rows.tolist()) == sorted(first.values()), u.coords
+                for i, row in enumerate(rows.tolist()):
+                    triple = [x[0, i] for x in table]
+                    assert triple == [x[0, row] for x in ref], (u.coords, row)
+
+    def test_tables_that_fit_one_chunk_run_no_search(self, monkeypatch):
+        # the dense chunk holds every pair that the pruned pass keeps
+        def searched(*_):
+            raise AssertionError("search")
+
+        cases = distinct_row_cases() + [maximizer(n) for n in range(2, 21)]
+        refs = [enumerate_shadows_naive(u) for u in cases]
+        for name in ("_bound", "_windows", "_runs"):
+            monkeypatch.setattr(oracle, name, searched)
+        for u, ref in zip(cases, refs):
+            (a, b), _ = oracle._distinct_tables(_snap(u.coords[None]), 20)
+            assert a[0].size * b[0].size <= 1 << oracle.BLOCK_BITS, u.coords
+            assert verdicts_equal(enumerate_shadows(u), ref), u.coords
+            assert any_vertex_inside(u) == ref.exists_inside, u.coords
+            assert min_abs_inner_product(u) == ref.min_abs_inner_product, u.coords
+
+    def test_the_maximizer_at_the_ceiling_builds_no_full_table(self):
+        # 36 A-rows and 19 B-rows, where a full half table has 2^18 rows
+        tracemalloc.start()
+        try:
+            enumerate_shadows(maximizer(36), oracle.MAX_LIMIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_the_maximizer_evaluates_one_pair_per_class_pair(self, monkeypatch):
         # 2n sign classes: A has 2 (n/2) rows, B n/2 + 1, against the
@@ -447,7 +489,7 @@ class TestSignLemma:
         assert criterion(u).satisfied
         ref = enumerate_shadows_naive(u)
         monkeypatch.setattr(oracle, "_table", sums_only)
-        for name in ("_distinct_by_sum", "_bound", "_windows", "_blocks"):
+        for name in ("_distinct_tables", "_bound", "_windows", "_blocks"):
             monkeypatch.setattr(oracle, name, searched)
         assert verdicts_equal(enumerate_shadows(u), ref)
 
