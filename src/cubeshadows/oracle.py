@@ -44,8 +44,9 @@ positive: some t has fl(s t) <= 0, and |1 - s t| >= 1 bit for bit. Where
 that vertex's norm (_sign_matched) is below 1, that is, where the snapped
 direction has no zero coordinate and ||uq||_1 ||uq||_inf < 2 in the
 kernel's roundings (roughly, the criterion product below 2), it is the
-best norm, and enumerate_shadows returns that vertex, +1 first, with no
-search. The search therefore only ever takes a bound of 1 or more.
+best norm: enumerate_shadows returns that vertex, +1 first, with no
+search, and agreement_sweep counts the trial inside. The search
+therefore only ever takes a bound of 1 or more.
 
 For one direction, enumerate_shadows and any_vertex_inside build each
 half table with only one row per distinct multiset of t (_class_table).
@@ -65,7 +66,11 @@ dense chunk, with no bound or window.
 The tables carry a leading batch axis of T directions, and the dense
 pass cuts the vertices of the batch into chunks of about 2^BLOCK_BITS:
 as many whole directions as fit, else one direction and at least one
-A-row. The public entry points are the case T = 1.
+A-row. The public entry points are the case T = 1. agreement_sweep
+stacks its trials: their sums-only tables give each trial's min |s| by
+one merged sort (_min_abs_sums), _sign_matched gives each its
+sign-matched norm, and only the kept trials whose norm is 1 or more go
+through the dense pass.
 """
 
 from __future__ import annotations
@@ -107,7 +112,7 @@ class OracleVerdict:
     min_abs_inner_product: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgreementStats:
     """Tally of criterion-vs-enumeration comparisons on random directions."""
 
@@ -227,6 +232,19 @@ def _min_abs_sum(sa: np.ndarray, sb: np.ndarray) -> float:
     return float(np.abs(sb[j] - neg[:, None]).min())
 
 
+def _min_abs_sums(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """min |a + b| over a in sa[i], b in sb[i] of each row i of two stacks
+    of sum tables, exactly, by one sort of -sa and sb merged along each row:
+    the pair nearest zero is adjacent in that order, or has an adjacent pair
+    of opposite halves between them whose gap is no larger. Every sum is a
+    multiple of 2^-48 below 2^3, so each gap is exact."""
+    merged = np.concatenate((-sa, sb), axis=1)
+    order = np.argsort(merged, axis=1)
+    gaps = np.diff(np.take_along_axis(merged, order, 1), axis=1)
+    in_b = order >= sa.shape[1]
+    return np.abs(np.where(in_b[:, 1:] != in_b[:, :-1], gaps, np.inf).min(axis=1))
+
+
 def _search(sb: np.ndarray, keys: np.ndarray, side: str = "left") -> np.ndarray:
     """The indexes of np.searchsorted(sb, keys, side), found for the keys in
     ascending order, where each search starts from the last one, and put
@@ -239,13 +257,15 @@ def _search(sb: np.ndarray, keys: np.ndarray, side: str = "left") -> np.ndarray:
     return found
 
 
-def _sign_matched(uq: np.ndarray) -> float:
-    """The shadow sup-norm of the sign-matched vertex eps = sign(u) of one
-    snapped direction uq, by the kernel's operations: t = |u| and s their
-    sum. Below 1, it is the best norm, and -sign(u) ties it bit for bit."""
+def _sign_matched(uq: np.ndarray) -> np.ndarray:
+    """The shadow sup-norms of the sign-matched vertices eps = sign(u) of T
+    snapped directions uq, shape (T, n), by the kernel's operations: t = |u|
+    and s their sum. Below 1, each is its direction's best norm, and
+    -sign(u) ties it bit for bit."""
     t = np.abs(uq)
-    total = float(t.sum())  # exact in any order
-    return max(abs(1.0 - total * float(x)) for x in (t.max(), t.min()))
+    total = t.sum(axis=1)  # exact in any order
+    hi, lo = (np.abs(1.0 - total * x) for x in (t.max(axis=1), t.min(axis=1)))
+    return np.maximum(hi, lo)
 
 
 def _bound(tables, matched: float) -> float:
@@ -398,7 +418,7 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
     n_limit may not exceed MAX_LIMIT.
     """
     uq = _snap(u.coords[None])
-    matched = _sign_matched(uq)
+    matched = float(_sign_matched(uq)[0])
     if matched < 1.0:  # no zero coordinate: sign(uq) is a vertex
         best = Vertex(np.sign(uq[0]) * np.sign(uq[0, 0]))
         return _verdict(matched, best, _min_abs_ip(uq, n_limit))
@@ -489,29 +509,39 @@ def agreement_sweep(n: int, trials: int, seed: int) -> AgreementStats:
     |<eps, u>| falls below SKIP_TOL (the criterion promises nothing
     there), and counts agreements between the product test and the
     exhaustive inside-vertex search. Disagreements are counted, not
-    raised; the test suite asserts the count is zero. Trials pass through
-    the kernel in groups that fill one chunk of _blocks, drawn through one
-    re-keyed generator (measure._draws) and normalized as stacked rows
-    (geometry._unit_rows) that also give the criterion products. No
-    UnitVector is built per trial, and the tally has the bits of
-    sample_sphere(n, seed, t), criterion and enumerate_shadows for trial t.
+    raised; the test suite asserts the count is zero. Trials go in groups
+    whose sums-only half tables fill one chunk of _blocks, drawn through
+    one re-keyed generator (measure._draws) and normalized as stacked rows
+    (geometry._unit_rows) that also give the criterion products. A merged
+    sort of each trial's half sums gives its exact min |s|. By the sign
+    lemma a trial whose sign-matched norm is below 1 has a vertex inside;
+    only the kept trials whose norm is 1 or more go through the dense pass
+    of _blocks, and skipped trials are never searched. No UnitVector is
+    built per trial, and the tally has the bits of sample_sphere(n, seed,
+    t), criterion and enumerate_shadows for trial t.
     """
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")
     agreements = skips = disagreements = satisfied_count = 0
-    group = max(1, (1 << BLOCK_BITS) >> max(n, 0))  # n < 1: _draws rejects it
+    # groups whose sums-only tables fill one chunk; n < 1: _draws rejects it
+    group = max(1, (1 << BLOCK_BITS) >> max(n - n // 2, 0))
     draws = _draws(n, seed, range(trials))
     for _ in range(0, trials, group):
         us = _unit_rows(np.stack(list(islice(draws, group))))
-        tables = _tables(_snap(us), DEFAULT_LIMIT)
-        inf_norm, abs_ip = np.full((2, len(us)), np.inf)
-        for d0, _, s, infs in _blocks(tables):
-            d = slice(d0, d0 + len(s))
-            np.minimum(inf_norm[d], infs.min(axis=(1, 2)), out=inf_norm[d])
-            np.minimum(abs_ip[d], np.abs(s).min(axis=(1, 2)), out=abs_ip[d])
-        kept = abs_ip >= SKIP_TOL
+        uq = _snap(us)
+        (sa,), (sb,) = _tables(uq, DEFAULT_LIMIT, sums_only=True)
+        kept = _min_abs_sums(sa, sb) >= SKIP_TOL
+        matched = _sign_matched(uq)
+        inside = matched < 1.0
+        search = kept & (matched >= 1.0)
+        if search.any():
+            inf_norm = np.full(int(search.sum()), np.inf)
+            for d0, _, _, infs in _blocks(_tables(uq[search], DEFAULT_LIMIT)):
+                d = slice(d0, d0 + len(infs))
+                np.minimum(inf_norm[d], infs.min(axis=(1, 2)), out=inf_norm[d])
+            inside[search] = inf_norm <= 1.0 + INSIDE_TOL
         satisfied = (_criterion_products(us) <= 2.0 + CRITERION_TOL) & kept
-        agree = (satisfied == (inf_norm <= 1.0 + INSIDE_TOL)) & kept
+        agree = (satisfied == inside) & kept
         skips += len(us) - int(kept.sum())
         satisfied_count += int(satisfied.sum())
         agreements += int(agree.sum())

@@ -464,7 +464,7 @@ class TestSignLemma:
                 lo = np.minimum(loa[0, rows, None], lob[0, None, slab])
                 mixed = (lo <= 0.0) & (hi >= 0.0)
                 assert (infs[0][mixed] >= 1.0).all(), u.coords
-            norm = oracle._sign_matched(uq)
+            norm = oracle._sign_matched(uq)[0]
             if norm < 1.0:
                 below += 1
                 ref = enumerate_shadows_naive(u)
@@ -501,7 +501,7 @@ class TestSignLemma:
             for seed in (0, 2, 3):
                 u = sample_sphere(n, seed)
                 uq = _snap(u.coords[None])
-                assert oracle._sign_matched(uq) < 1.0, (n, seed)
+                assert oracle._sign_matched(uq)[0] < 1.0, (n, seed)
                 best_inf, best_code, abs_ip = np.inf, None, np.inf
                 for _, (rows, slab), s, infs in oracle._blocks(oracle._tables(uq, n)):
                     abs_ip = min(abs_ip, float(np.abs(s).min()))
@@ -527,6 +527,42 @@ class TestSignLemma:
             assert any_vertex_inside(u) == ref.exists_inside, u.coords
             assert min_abs_inner_product(u) == ref.min_abs_inner_product, u.coords
         assert 0 < below < len(cases)
+
+
+def stacks_by_dimension(cases):
+    """The snapped coordinates of cases, stacked by dimension: (T, n)."""
+    rows = {}
+    for u in cases:
+        rows.setdefault(u.n, []).append(_snap(u.coords))
+    return [np.stack(r) for r in rows.values()]
+
+
+class TestStackedRows:
+    def test_merged_sums_give_each_row_its_exact_minimum(self):
+        # n = 1 has an empty A half (the one sum 0); zeros, -0.0 and integer
+        # ratios give sums of exactly 0, as does (1, 1, 2) with (1, 1, -1)
+        zeros = 0
+        for uq in stacks_by_dimension(pruned_kernel_cases() + distinct_row_cases()):
+            (sa,), (sb,) = oracle._tables(uq, 14, sums_only=True)
+            got = oracle._min_abs_sums(sa, sb)
+            merged = [oracle._min_abs_sum(a, np.sort(b)) for a, b in zip(sa, sb)]
+            brute = np.abs(sa[:, :, None] + sb[:, None]).min((1, 2))
+            assert got.tolist() == merged == brute.tolist(), uq
+            assert not np.signbit(got).any()
+            zeros += int((got == 0.0).sum())
+        assert zeros > 0
+        (sa,), (sb,) = oracle._tables(_snap(u_of(1.0, 1.0, 2.0).coords[None]), 3, True)
+        assert oracle._min_abs_sums(sa, sb).tolist() == [0.0]
+
+    def test_stacked_sign_matched_norms_are_each_rows_norm(self):
+        # the sum of |u| is exact in any order, so a stack has each row's bits
+        cases = pruned_kernel_cases() + distinct_row_cases() + boundary_family_cases()
+        for uq in stacks_by_dimension(cases + [maximizer(n) for n in range(1, 37)]):
+            want = []
+            for t in np.abs(uq):
+                total = float(t.sum())
+                want.append(max(abs(1.0 - total * float(x)) for x in (t.max(), t.min())))
+            assert oracle._sign_matched(uq).tolist() == want, uq
 
 
 class TestVerdictContents:
@@ -740,21 +776,62 @@ class TestAgreementSweep:
         ]
         refs = [self.reference(*case) for case in cases]
         assert sum(r.satisfied_count < r.agreements for r in refs) > 0  # both verdicts
+        blocks, searched = oracle._blocks, []
+
+        def counted(tables, *args):
+            searched.append(len(tables[0][0]))
+            return blocks(tables, *args)
+
+        monkeypatch.setattr(oracle, "_blocks", counted)
         for bits in (3, 8, 14):
             monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
             for case, ref in zip(cases, refs):
                 assert agreement_sweep(*case) == ref, (bits, case)
+        # some kept trials need the dense pass, and the sign lemma settles
+        # the rest
+        kept = 3 * sum(r.agreements + r.disagreements for r in refs)
+        assert 0 < sum(searched) < kept
 
     def test_skips_match_one_trial_at_a_time(self, monkeypatch):
+        # at n = 14 every trial is skipped, and some would need a search
         monkeypatch.setattr(oracle, "SKIP_TOL", 0.5)
+        blocks, searched = oracle._blocks, []
+
+        def counted(tables, *args):
+            (sa, *_), (sb, *_) = tables
+            searched.extend(np.abs(sa[:, :, None] + sb[:, None]).min((1, 2)))
+            return blocks(tables, *args)
+
         for bits in (3, 14):
             monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
             skips = []
-            for n in range(1, 7):
+            for n in (*range(1, 7), 14):
                 ref = self.reference(n, 40, 11)
+                monkeypatch.setattr(oracle, "_blocks", counted)
                 assert agreement_sweep(n, 40, 11) == ref, (bits, n)
+                monkeypatch.setattr(oracle, "_blocks", blocks)
                 skips.append(ref.skips)
-            assert 0 < sum(skips) < 6 * 40
+            assert 0 < sum(skips) < 7 * 40 and skips[-1] == 40
+        assert min(searched, default=np.inf) >= 0.5  # no skipped trial reached it
+        matched = [
+            oracle._sign_matched(_snap(sample_sphere(14, 11, index=t).coords[None]))[0]
+            for t in range(40)
+        ]
+        assert max(matched) >= 1.0
+
+    def test_the_sign_lemma_settles_every_trial_below_the_threshold(self, monkeypatch):
+        # up to n = 9 every criterion product is at most 2, and in these
+        # draws up to n = 10 every sign-matched norm is below 1, so the
+        # sweep decides every trial with no search
+        seeds = (0, 1, 2, 3, 2**63 + 5)
+        refs = {(n, s): self.reference(n, 8, s) for n in range(2, 11) for s in seeds}
+
+        def searched(*_):
+            raise AssertionError("search")
+
+        monkeypatch.setattr(oracle, "_blocks", searched)
+        for (n, s), ref in refs.items():
+            assert agreement_sweep(n, 8, s) == ref, (n, s)
 
     def test_retried_draws_match_one_trial_at_a_time(self, monkeypatch):
         # trials 2 and 5 fail their first draw; the batched sweep and the
