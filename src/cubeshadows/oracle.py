@@ -13,9 +13,10 @@ t_k = eps_k u_k and s = sum t_k, |eps_k - s u_k| = |1 - s t_k|, and
 t -> fl(1 - fl(s t)) is monotone, so the shadow sup-norm is attained at
 max t_k or min t_k, bit for bit. Each half, A = u[:n//2] and B =
 u[n//2:], tabulates (s, t_max, t_min) over its sign patterns. A vertex is
-a pair of rows, combined with O(1) work, and min |<eps, u>| is a sorted
-merge of the two sum tables. Rows are in lexicographic order (+1 before
--1), so pair (a, b) has code a 2^|B| + b, the tie rule's order.
+a pair of rows, combined with O(1) work, and min |<eps, u>| pairs each
+row a of A with the rows of B, in order of s, nearest -a (_nearest). Rows
+are in lexicographic order (+1 before -1), so pair (a, b) has code
+a 2^|B| + b, the tie rule's order.
 
 A half table is in turn the same pairing of its two quarters (_table):
 its rows' s, t_max and t_min are outer sums, maxima and minima, O(2^(n/2))
@@ -44,15 +45,14 @@ positive: some t has fl(s t) <= 0, and |1 - s t| >= 1 bit for bit. Where
 that vertex's norm (_sign_matched) is below 1, that is, where the snapped
 direction has no zero coordinate and ||uq||_1 ||uq||_inf < 2 in the
 kernel's roundings (roughly, the criterion product below 2), it is the
-best norm: enumerate_shadows returns that vertex, +1 first, with no
-search, and agreement_sweep counts the trial inside. The search
-therefore only ever takes a bound of 1 or more.
+best norm, and every verdict takes that vertex, +1 first, with no search.
+A search therefore only ever takes a bound of 1 or more.
 
-For one direction, enumerate_shadows and any_vertex_inside build each
-half table with only one row per distinct multiset of t (_class_table).
-Two rows have the same multiset exactly when, for each magnitude of u in
-the half, they have the same count of positive t. Exact sums give equal
-multisets bit-identical (s, t_max, t_min), up to the sign of a zero that
+Every search is of one direction, and it builds each half table with
+only one row per distinct multiset of t (_class_table). Two rows have
+the same multiset exactly when, for each magnitude of u in the half,
+they have the same count of positive t. Exact sums give equal multisets
+bit-identical (s, t_max, t_min), up to the sign of a zero that
 no norm or sum sees, so no pair norm or sum changes; each row carries the
 smallest row of the full half with its multiset, and as a code is a
 2^|B| + b, the smallest code among tied class pairs is that of their
@@ -63,14 +63,9 @@ keeps every row. Tables of at most 2^BLOCK_BITS pairs, as for
 maximizer(n) up to MAX_LIMIT and any direction up to n = 14, fill one
 dense chunk, with no bound or window.
 
-The tables carry a leading batch axis of T directions, and the dense
-pass cuts the vertices of the batch into chunks of about 2^BLOCK_BITS:
-as many whole directions as fit, else one direction and at least one
-A-row. The public entry points are the case T = 1. agreement_sweep
-stacks its trials: their sums-only tables give each trial's min |s| by
-one merged sort (_min_abs_sums), _sign_matched gives each its
-sign-matched norm, and only the kept trials whose norm is 1 or more go
-through the dense pass.
+Only agreement_sweep stacks directions, and only for their sums-only
+tables (_sums) and sign-matched norms; each trial that they leave open
+is searched alone, as any_vertex_inside searches (_inside).
 """
 
 from __future__ import annotations
@@ -168,15 +163,15 @@ def _check_limit(n: int, n_limit: int) -> None:
         raise DimensionTooLarge(n, n_limit)
 
 
-def _tables(uq: np.ndarray, n_limit: int, sums_only: bool = False):
-    """The tables of A = uq[:, :n//2] and B of T snapped directions uq,
-    shape (T, n); an empty half is the row (0, -inf, +inf). With sums_only,
-    each half is the tuple (s,)."""
+def _sums(uq: np.ndarray, n_limit: int):
+    """The sum tables (sa, sb), each (T, 2^k), of A = uq[:, :n//2] and B of
+    T snapped directions uq, shape (T, n); an empty half is the one sum 0."""
     n = uq.shape[1]
     _check_limit(n, n_limit)
     # coordinate axis first: reducing over it runs on contiguous rows
     u = np.ascontiguousarray(uq.T)[:, :, None]
-    return [_table(u[: n // 2], sums_only), _table(u[n // 2 :], sums_only)]
+    (sa,), (sb,) = _table(u[: n // 2], True), _table(u[n // 2 :], True)
+    return sa, sb
 
 
 def _class_table(u: np.ndarray):
@@ -218,18 +213,11 @@ def _distinct_tables(uq: np.ndarray, n_limit: int):
     s, and the row of the full half that each entry stands for."""
     _check_limit(uq.shape[1], n_limit)
     h = uq.shape[1] // 2
-    (*a, ia), (*b, ib) = _class_table(uq[0, :h]), _class_table(uq[0, h:])
-    order = np.argsort(b[0][0])
-    return (tuple(a), tuple(x[:, order] for x in b)), (ia[0], ib[0, order])
-
-
-def _min_abs_sum(sa: np.ndarray, sb: np.ndarray) -> float:
-    """min |a + b| over a in sa, b in the sorted sb, exactly: each -a, in
-    ascending order, meets its two neighbours in sb, padded with -inf and
-    +inf."""
-    sb, neg = np.concatenate(([-np.inf], sb, [np.inf])), np.sort(-sa)
-    j = np.searchsorted(sb, neg)[:, None] - _NEIGHBOURS
-    return float(np.abs(sb[j] - neg[:, None]).min())
+    (*a, ia), (*b, ib) = (
+        [x[0] for x in _class_table(half)] for half in (uq[0, :h], uq[0, h:])
+    )
+    order = np.argsort(b[0])
+    return (tuple(a), tuple(x[order] for x in b)), (ia, ib[order])
 
 
 def _min_abs_sums(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
@@ -257,28 +245,31 @@ def _search(sb: np.ndarray, keys: np.ndarray, side: str = "left") -> np.ndarray:
     return found
 
 
+def _nearest(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """The indexes j, shape (2, len(sa)), of the two rows of the sorted sb
+    on either side of each -a, a in sa, clipped to sb: the sum a + sb[j]
+    nearest zero is among them, so min |sa + sb[j]| is min |a + b| over
+    all pairs, exactly."""
+    return np.clip(_search(sb, -sa) - _NEIGHBOURS[:, None], 0, len(sb) - 1)
+
+
 def _sign_matched(uq: np.ndarray) -> np.ndarray:
     """The shadow sup-norms of the sign-matched vertices eps = sign(u) of T
     snapped directions uq, shape (T, n), by the kernel's operations: t = |u|
-    and s their sum. Below 1, each is its direction's best norm, and
-    -sign(u) ties it bit for bit."""
+    and s their sum."""
     t = np.abs(uq)
     total = t.sum(axis=1)  # exact in any order
     hi, lo = (np.abs(1.0 - total * x) for x in (t.max(axis=1), t.min(axis=1)))
     return np.maximum(hi, lo)
 
 
-def _bound(tables, matched: float) -> float:
-    """An upper bound on the best sup-norm of one direction, B in order of
-    s, whose sign-matched vertex has the norm matched: the smallest norm, by
-    the kernel's operations, of that vertex and of each A-row paired with
-    the two B-rows whose sums lie nearest its own best s. That s is
-    2 / (t_max + t_min) when the row's t share a sign, else 0."""
-    ((sa,), (hia,), (loa,)), ((sb,), (hib,), (lob,)) = tables
-    with np.errstate(divide="ignore", invalid="ignore"):
-        best_s = np.where(hia * loa > 0, 2.0 / (hia + loa), 0.0)
-    j = _search(sb, best_s - sa) - _NEIGHBOURS[:, None]
-    j = np.clip(j, 0, len(sb) - 1)
+def _bound(tables, j: np.ndarray, matched: float) -> float:
+    """An upper bound on the best sup-norm of one direction whose
+    sign-matched vertex has the norm matched: the smallest norm, by the
+    kernel's operations, of that vertex and of each A-row paired with the
+    B-rows j (_nearest) whose sums bring s nearest 0. Each is the norm of
+    a vertex, so the bound is at or above the best norm."""
+    (sa, hia, loa), (sb, hib, lob) = tables
     s = sa + sb[j]
     hi, lo = np.maximum(hia, hib[j]), np.minimum(loa, lob[j])
     norms = np.maximum(np.abs(1.0 - s * hi), np.abs(1.0 - s * lo))
@@ -300,7 +291,7 @@ def _windows(tables, beta):
     stop; for the bounds of 1 or more that the oracle takes, every interval
     holds s = 0.
     """
-    ((sa,), (hia,), (loa,)), ((sb,), _, _) = tables
+    (sa, hia, loa), (sb, _, _) = tables
     b = beta + (1.0 + beta) * _SLACK
     bound = np.abs(sa).max() + max(-sb[0], sb[-1]) + 1.0  # beyond every |s|
     lo, hi = -bound, bound
@@ -344,39 +335,34 @@ def _runs(start, stop, cap):
 
 
 def _blocks(tables, beta=np.inf):
-    """Yields (first direction, (A-rows, B-slab), sums, shadow sup-norms),
-    the last two of shape (directions, A-rows, B-slab), for chunks of about
-    2^BLOCK_BITS vertices that hold every vertex whose sup-norm is <= beta.
-    A-rows number rows of A and the B-slab is a slice of B, in the tables
-    as given. A chunk is whole directions while they fit, else one
-    direction and a run of A-rows. With beta = inf, or one direction whose
-    pairs fit in one chunk, the pass is dense: the runs have equal
-    lengths, come in order and pair with all of B. Otherwise a finite beta
-    takes one direction with B in order of s (_distinct_tables), and each
-    run pairs with the slab that its rows' windows span. Every shadow
-    reduction runs over this one loop."""
+    """Yields ((A-rows, B-slab), shadow sup-norms of shape (A-rows, B-slab))
+    for chunks of about 2^BLOCK_BITS vertices of one direction that hold
+    every vertex whose sup-norm is <= beta. A-rows number rows of A and the
+    B-slab is a slice of B, in the tables as given. With beta = inf, or
+    pairs that fit in one chunk, the pass is dense: the runs of A-rows have
+    equal lengths, come in order and pair with all of B. Otherwise B is in
+    order of s (_distinct_tables), and each run pairs with the slab that
+    its rows' windows span. Every shadow reduction runs over this one
+    loop."""
     (sa, hia, loa), (sb, hib, lob) = tables
-    pairs = sa.shape[1] * sb.shape[1]
-    dirs = max(1, (1 << BLOCK_BITS) // pairs)
-    cap = (1 << BLOCK_BITS) // dirs
-    if beta == np.inf or pairs <= cap:  # or one chunk holds every pair
-        rows, step = np.arange(sa.shape[1]), max(1, cap // sb.shape[1])
-        runs = [(i, i + step, 0, sb.shape[1]) for i in range(0, len(rows), step)]
+    cap = 1 << BLOCK_BITS
+    if beta == np.inf or len(sa) * len(sb) <= cap:  # or one chunk holds every pair
+        rows, step = np.arange(len(sa)), max(1, cap // len(sb))
+        runs = [(i, i + step, 0, len(sb)) for i in range(0, len(rows), step)]
     else:
         start, stop = _windows(tables, beta)
         rows = np.flatnonzero(stop > start)
         rows = rows[np.argsort(start[rows], kind="stable")]
-        sa, hia, loa = (x[:, rows] for x in (sa, hia, loa))
+        sa, hia, loa = (x[rows] for x in (sa, hia, loa))
         runs = _runs(start[rows], stop[rows], cap)
-    for d0 in range(0, len(sa), dirs):
-        for i, j, c0, c1 in runs:
-            d, r, c = slice(d0, d0 + dirs), slice(i, j), slice(c0, c1)
-            s = sa[d, r, None] + sb[d, None, c]
-            hi = np.maximum(hia[d, r, None], hib[d, None, c])
-            lo = np.minimum(loa[d, r, None], lob[d, None, c])
-            for t in (hi, lo):  # |1 - s t| in place
-                np.abs(np.subtract(1.0, np.multiply(s, t, out=t), out=t), out=t)
-            yield d0, (rows[r], c), s, np.maximum(hi, lo, out=hi)
+    for i, j, c0, c1 in runs:
+        r, c = slice(i, j), slice(c0, c1)
+        s = sa[r, None] + sb[c]
+        hi = np.maximum(hia[r, None], hib[c])
+        lo = np.minimum(loa[r, None], lob[c])
+        for t in (hi, lo):  # |1 - s t| in place
+            np.abs(np.subtract(1.0, np.multiply(s, t, out=t), out=t), out=t)
+        yield (rows[r], c), np.maximum(hi, lo, out=hi)
 
 
 def _verdict(best_inf: float, best_vertex: Vertex, min_abs_ip: float) -> OracleVerdict:
@@ -393,24 +379,24 @@ def _verdict(best_inf: float, best_vertex: Vertex, min_abs_ip: float) -> OracleV
 
 def _min_abs_ip(uq: np.ndarray, n_limit: int) -> float:
     """min |<eps, uq>| of one snapped direction uq, shape (1, n), exactly,
-    by a sorted merge of the sums-only half tables."""
-    ((sa,),), ((sb,),) = _tables(uq, n_limit, sums_only=True)
-    return _min_abs_sum(sa, np.sort(sb))
+    from the sums-only half tables, B sorted (_nearest)."""
+    (sa,), (sb,) = _sums(uq, n_limit)
+    sb = np.sort(sb)
+    return float(np.abs(sa + sb[_nearest(sa, sb)]).min())
 
 
 def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerdict:
     """Report the best shadow over all 2^n vertices.
 
-    Where the sign-matched vertex's norm is below 1 (no zero coordinate and
-    ||uq||_1 ||uq||_inf < 2 on the snapped direction, roughly the criterion
-    product below 2), no other vertex beats it, and that vertex, +1 first,
-    is the verdict with no search. Otherwise the kernel pairs the rows of
-    distinct multisets of t in each half: all pairs where they fit in one
-    chunk, else only those whose window admits a sup-norm up to a bound,
-    the smallest norm of a few likely vertices, 1 or more. Every vertex
-    left out has a norm above the bound or that of a kept pair of smaller
-    code, so the verdict covers all 2^n vertices (vertices_checked) though
-    not every vertex is evaluated, and it is bit for bit the dense pass's.
+    Where the sign-matched vertex's norm is below 1, that vertex, +1 first,
+    is the verdict with no search (the sign lemma of the module docstring).
+    Otherwise the kernel pairs the rows of distinct multisets of t in each
+    half: all pairs where they fit in one chunk, else only those whose
+    window admits a sup-norm up to a bound, the smallest norm of the pairs
+    whose sums lie nearest 0 (_bound), 1 or more. Every vertex left out has
+    a norm above the bound or that of a kept pair of smaller code, so the
+    verdict covers all 2^n vertices (vertices_checked) though not every
+    vertex is evaluated, and it is bit for bit the dense pass's.
     Ties in the minimal sup-norm go to the lexicographically smallest sign
     pattern (+1 sorts before -1): a chunk's tied vertices yield their
     smallest code, and a later chunk replaces it only with a smaller norm
@@ -423,22 +409,24 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
         best = Vertex(np.sign(uq[0]) * np.sign(uq[0, 0]))
         return _verdict(matched, best, _min_abs_ip(uq, n_limit))
     tables, (ia, ib) = _distinct_tables(uq, n_limit)
-    ((sa,), _, _), ((sb,), _, _) = tables
+    (sa, _, _), (sb, _, _) = tables
+    j = _nearest(sa, sb)
     fits = len(sa) * len(sb) <= 1 << BLOCK_BITS  # one dense chunk of _blocks
     w = u.n - u.n // 2
     best_inf, best_code = np.inf, 1 << u.n
-    for _, (rows, slab), _, infs in _blocks(
-        tables, np.inf if fits else _bound(tables, matched)
+    for (rows, slab), infs in _blocks(
+        tables, np.inf if fits else _bound(tables, j, matched)
     ):
         low = infs.min()
         rows = ia[rows]
         if low > best_inf or (low == best_inf and int(rows.min()) << w > best_code):
             continue
-        r, c = np.nonzero(infs[0] == low)
+        r, c = np.nonzero(infs == low)
         code = int(((rows[r] << w) + ib[slab][c]).min())
         if low < best_inf or code < best_code:
             best_inf, best_code = float(low), code
-    return _verdict(best_inf, _vertex_from_code(best_code, u.n), _min_abs_sum(sa, sb))
+    min_abs_ip = float(np.abs(sa + sb[j]).min())
+    return _verdict(best_inf, _vertex_from_code(best_code, u.n), min_abs_ip)
 
 
 def enumerate_shadows_naive(u: UnitVector, n_limit: int = 20) -> OracleVerdict:
@@ -479,16 +467,19 @@ def any_vertex_inside(u: UnitVector) -> bool:
     vertices of maximizer(24)), else only the pairs that can reach a
     sup-norm of 1 + INSIDE_TOL, and stops at the first chunk with an inside
     vertex."""
+    return _inside(_snap(u.coords[None]))
+
+
+def _inside(uq: np.ndarray) -> bool:
+    """any_vertex_inside of one snapped direction uq, shape (1, n)."""
     beta = 1.0 + INSIDE_TOL
-    uq = _snap(u.coords[None])
     tables, _ = _distinct_tables(uq, DEFAULT_LIMIT)
-    blocks = _blocks(tables, beta)
-    return any(float(infs.min()) <= beta for *_, infs in blocks)
+    return any(float(infs.min()) <= beta for _, infs in _blocks(tables, beta))
 
 
 def min_abs_inner_product(u: UnitVector) -> float:
     """Smallest |<eps, u>| over all sign vectors eps, computed exactly
-    on the snapped direction by a sorted merge of the half sums."""
+    on the snapped direction from the sorted half sums."""
     return _min_abs_ip(_snap(u.coords[None]), DEFAULT_LIMIT)
 
 
@@ -508,38 +499,30 @@ def agreement_sweep(n: int, trials: int, seed: int) -> AgreementStats:
     Samples uniform points on the sphere, skips those whose smallest
     |<eps, u>| falls below SKIP_TOL (the criterion promises nothing
     there), and counts agreements between the product test and the
-    exhaustive inside-vertex search. Disagreements are counted, not
+    exhaustive inside-vertex verdict. Disagreements are counted, not
     raised; the test suite asserts the count is zero. Trials go in groups
-    whose sums-only half tables fill one chunk of _blocks, drawn through
-    one re-keyed generator (measure._draws) and normalized as stacked rows
-    (geometry._unit_rows) that also give the criterion products. A merged
-    sort of each trial's half sums gives its exact min |s|. By the sign
-    lemma a trial whose sign-matched norm is below 1 has a vertex inside;
-    only the kept trials whose norm is 1 or more go through the dense pass
-    of _blocks, and skipped trials are never searched. No UnitVector is
-    built per trial, and the tally has the bits of sample_sphere(n, seed,
-    t), criterion and enumerate_shadows for trial t.
+    of about 2^BLOCK_BITS half sums, drawn through one re-keyed generator
+    (measure._draws) and normalized as stacked rows (geometry._unit_rows)
+    that also give the criterion products. One merged sort of each
+    trial's half sums gives its exact min |s| (_min_abs_sums). A kept
+    trial whose sign-matched norm is below 1 is inside; each other kept
+    trial is searched alone (_inside). No UnitVector is built per trial,
+    and the tally has the bits of sample_sphere(n, seed, t), criterion and
+    enumerate_shadows for trial t.
     """
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")
     agreements = skips = disagreements = satisfied_count = 0
-    # groups whose sums-only tables fill one chunk; n < 1: _draws rejects it
+    # groups of about 2^BLOCK_BITS half sums; n < 1: _draws rejects it
     group = max(1, (1 << BLOCK_BITS) >> max(n - n // 2, 0))
     draws = _draws(n, seed, range(trials))
     for _ in range(0, trials, group):
         us = _unit_rows(np.stack(list(islice(draws, group))))
         uq = _snap(us)
-        (sa,), (sb,) = _tables(uq, DEFAULT_LIMIT, sums_only=True)
-        kept = _min_abs_sums(sa, sb) >= SKIP_TOL
-        matched = _sign_matched(uq)
-        inside = matched < 1.0
-        search = kept & (matched >= 1.0)
-        if search.any():
-            inf_norm = np.full(int(search.sum()), np.inf)
-            for d0, _, _, infs in _blocks(_tables(uq[search], DEFAULT_LIMIT)):
-                d = slice(d0, d0 + len(infs))
-                np.minimum(inf_norm[d], infs.min(axis=(1, 2)), out=inf_norm[d])
-            inside[search] = inf_norm <= 1.0 + INSIDE_TOL
+        kept = _min_abs_sums(*_sums(uq, DEFAULT_LIMIT)) >= SKIP_TOL
+        inside = _sign_matched(uq) < 1.0
+        for i in np.flatnonzero(kept & ~inside):
+            inside[i] = _inside(uq[i : i + 1])
         satisfied = (_criterion_products(us) <= 2.0 + CRITERION_TOL) & kept
         agree = (satisfied == inside) & kept
         skips += len(us) - int(kept.sum())

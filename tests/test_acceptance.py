@@ -15,12 +15,15 @@ import numpy as np
 import pytest
 
 import cubeshadows as cs
+from cubeshadows import oracle
 from cubeshadows.geometry import (
     ZERO_TOL,
+    _unit_rows,
     canonical_vertex,
     shadow,
     shadow_norm_closed_form,
 )
+from cubeshadows.measure import _draws
 from cubeshadows.oracle import enumerate_shadows, enumerate_shadows_naive
 
 GROWTH_DIMS = (10, 100, 1000, 10_000)
@@ -38,6 +41,33 @@ def test_criterion_1_matches_exhaustive_enumeration_in_2_to_14_dims():
         assert stats.disagreements == 0, f"n={n}: {stats}"
         assert stats.agreements + stats.skips == 2000
     assert time.perf_counter() - t0 < 60.0
+
+
+def test_criterion_1_directions_match_the_naive_enumeration():
+    """Criterion 1's directions, checked by the naive reference rather than
+    by the sign lemma that settles most of them in agreement_sweep: at each
+    n, a seeded 64 of the 2000 trials, plus at n >= 11 every trial whose
+    sign-matched norm is 1 or more, which the sweep searches (the sweep's
+    stacked draws have the bits of sample_sphere)."""
+    checked = 0
+    for n in range(2, 15):
+        rng = np.random.Generator(np.random.Philox(key=np.array([101, n], np.uint64)))
+        trials = set(rng.choice(2000, 64, replace=False).tolist())
+        if n >= 11:
+            uq = oracle._snap(_unit_rows(np.stack(list(_draws(n, 101, range(2000))))))
+            trials.update(np.flatnonzero(oracle._sign_matched(uq) >= 1.0).tolist())
+        for t in sorted(trials):
+            u = cs.sample_sphere(n, 101, index=t)
+            got, ref = enumerate_shadows(u), enumerate_shadows_naive(u, 14)
+            for field in ("exists_inside", "best_inf_norm", "vertices_checked"):
+                assert getattr(got, field) == getattr(ref, field), (n, t, field)
+            assert got.orthogonal_vertex_found == ref.orthogonal_vertex_found
+            assert got.min_abs_inner_product == ref.min_abs_inner_product, (n, t)
+            assert got.best_vertex.signs.tolist() == ref.best_vertex.signs.tolist()
+            if ref.min_abs_inner_product >= oracle.SKIP_TOL:
+                assert cs.criterion(u).satisfied == ref.exists_inside, (n, t)
+                checked += 1
+    assert checked > 13 * 60
 
 
 def test_criterion_2_threshold_dimension_is_nine():

@@ -95,24 +95,6 @@ class TestEnumerationKernels:
                 assert min_abs_inner_product(u) == ref.min_abs_inner_product
         assert orthogonal > 0
 
-    def test_a_batch_of_directions_gives_each_its_own_minima(self, monkeypatch):
-        # 2^3 vertices per chunk split each direction by rows; 2^7 packs 1
-        # to 64 whole directions per chunk, so at n = 5, 6 the five span
-        # several chunks; 2^14 takes all five at once
-        for n in range(1, 9):
-            us = [random_direction(n, 7000 + 10 * n + k) for k in range(5)]
-            refs = [enumerate_shadows_naive(u) for u in us]
-            tables = oracle._tables(_snap(np.stack([u.coords for u in us])), n)
-            for bits in (3, 7, 14):
-                monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
-                inf_norm, abs_ip = np.full((2, len(us)), np.inf)
-                for d0, _, s, infs in oracle._blocks(tables):
-                    for k in range(len(s)):
-                        inf_norm[d0 + k] = min(inf_norm[d0 + k], infs[k].min())
-                        abs_ip[d0 + k] = min(abs_ip[d0 + k], np.abs(s[k]).min())
-                assert inf_norm.tolist() == [r.best_inf_norm for r in refs]
-                assert abs_ip.tolist() == [r.min_abs_inner_product for r in refs]
-
     def test_opposite_directions_give_identical_verdicts(self):
         # u and -u define the same hyperplane, hence the same shadows
         for tag in range(8):
@@ -216,6 +198,13 @@ def reference_tables(uq):
     ]
 
 
+def full_tables(uq):
+    """The full (s, t_max, t_min) tables of each half of snapped directions
+    uq, shape (T, n), by the oracle's quarter build (_table)."""
+    u = uq.T[:, :, None]
+    return [oracle._table(u[: uq.shape[1] // 2]), oracle._table(u[uq.shape[1] // 2 :])]
+
+
 class TestHalfTables:
     def test_tables_have_the_bytes_of_the_sign_matrix(self):
         # n = 1 has an empty A half; halves of 7 and 8 coordinates sit on
@@ -236,9 +225,9 @@ class TestHalfTables:
             v[::2] = rng.standard_normal(v[::2].shape)
             cases.append((_snap(v), 14))
         for uq, limit in cases:
-            got, want = oracle._tables(uq, limit), reference_tables(uq)
-            for half, ref in zip(got, want):
-                for x, y in zip(half, ref):
+            want = reference_tables(uq)
+            for half, s, ref in zip(full_tables(uq), oracle._sums(uq, limit), want):
+                for x, y in zip((*half, s), (*ref, ref[0])):
                     assert x.shape == y.shape and x.tobytes() == y.tobytes(), uq.shape
 
     def test_the_ceiling_fits_in_a_few_tables(self):
@@ -263,6 +252,14 @@ class TestPrunedKernel:
         assert sum(r.min_abs_inner_product == 0.0 for r in refs) > 0  # orthogonal
         outside = sum(not r.exists_inside for r in refs)
         assert 0 < outside < len(refs) - outside
+        for u, ref in zip(cases, refs):  # the bound of the pruned search
+            uq = _snap(u.coords[None])
+            matched = float(oracle._sign_matched(uq)[0])
+            if matched >= 1.0:
+                tables, _ = oracle._distinct_tables(uq, 14)
+                (sa, *_), (sb, *_) = tables
+                bound = oracle._bound(tables, oracle._nearest(sa, sb), matched)
+                assert ref.best_inf_norm <= bound <= matched, u.coords
         for bits in (3, 8, 14):
             monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
             for u, ref in zip(cases, refs):
@@ -280,7 +277,7 @@ class TestPrunedKernel:
             if beta == np.inf:
                 raise AssertionError("dense pass")
             for chunk in blocks(tables, beta):
-                pairs.append(chunk[3].size)
+                pairs.append(chunk[1].size)
                 yield chunk
 
         u = sample_sphere(20, 5)
@@ -298,13 +295,13 @@ class TestPrunedKernel:
         for u in pruned_kernel_cases() + distinct_row_cases():
             uq = _snap(u.coords[None])
             tables, _ = oracle._distinct_tables(uq, 14)
-            [(*_, infs)] = oracle._blocks(tables)  # one chunk up to n = 14
+            [(_, infs)] = oracle._blocks(tables)  # one chunk up to n = 14
             norms = np.unique(infs)
             for beta in norms[:: max(1, len(norms) // 16)]:
                 start, stop = oracle._windows(tables, float(beta))
-                b = np.arange(infs.shape[2])
+                b = np.arange(infs.shape[1])
                 inside = (start[:, None] <= b) & (b < stop[:, None])
-                assert inside[infs[0] <= beta].all(), (u.coords, beta)
+                assert inside[infs <= beta].all(), (u.coords, beta)
 
     def test_sorted_key_searches_give_the_unsorted_windows_and_bounds(
         self, monkeypatch
@@ -319,11 +316,13 @@ class TestPrunedKernel:
         for u in cases:
             uq = _snap(u.coords[None])
             tables, _ = oracle._distinct_tables(uq, 20)
+            (sa, *_), (sb, *_) = tables
             betas = [1.0 + oracle.INSIDE_TOL, 0.0, 1.0, 1.5, 3.0]
             seen = []
             for search in searches:
                 monkeypatch.setattr(oracle, "_search", search)
-                bound = oracle._bound(tables, oracle._sign_matched(uq))
+                j = oracle._nearest(sa, sb)
+                bound = oracle._bound(tables, j, float(oracle._sign_matched(uq)[0]))
                 windows = [oracle._windows(tables, b) for b in betas + [bound]]
                 seen.append((bound, [np.stack(w).tolist() for w in windows]))
             assert seen[0] == seen[1], u.coords
@@ -351,7 +350,7 @@ class TestDistinctRows:
         for u in pruned_kernel_cases() + distinct_row_cases():
             uq = _snap(u.coords[None])
             (a, b), kept = oracle._distinct_tables(uq, 14)
-            assert (np.diff(b[0][0]) >= 0).all()
+            assert (np.diff(b[0]) >= 0).all()
             halves = zip(reference_t(uq), reference_tables(uq), kept, (a, b))
             for t, ref, rows, table in halves:
                 first = {}
@@ -361,7 +360,7 @@ class TestDistinctRows:
                     assert triple == [x[0, rep] for x in ref], (u.coords, row)
                 assert sorted(rows.tolist()) == sorted(first.values()), u.coords
                 for i, row in enumerate(rows.tolist()):
-                    triple = [x[0, i] for x in table]
+                    triple = [x[i] for x in table]
                     assert triple == [x[0, row] for x in ref], (u.coords, row)
 
     def test_tables_that_fit_one_chunk_run_no_search(self, monkeypatch):
@@ -397,7 +396,7 @@ class TestDistinctRows:
 
         def counted(tables, beta=np.inf):
             for chunk in blocks(tables, beta):
-                pairs.append(chunk[3].size)
+                pairs.append(chunk[1].size)
                 yield chunk
 
         monkeypatch.setattr(oracle, "_blocks", counted)
@@ -458,12 +457,13 @@ class TestSignLemma:
         below = 0
         for u in pruned_kernel_cases() + distinct_row_cases():
             uq = _snap(u.coords[None])
-            (_, hia, loa), (_, hib, lob) = tables = oracle._tables(uq, 14)
-            for _, (rows, slab), _, infs in oracle._blocks(tables):
-                hi = np.maximum(hia[0, rows, None], hib[0, None, slab])
-                lo = np.minimum(loa[0, rows, None], lob[0, None, slab])
+            tables = [[x[0] for x in half] for half in full_tables(uq)]
+            (_, hia, loa), (_, hib, lob) = tables
+            for (rows, slab), infs in oracle._blocks(tables):
+                hi = np.maximum(hia[rows, None], hib[slab])
+                lo = np.minimum(loa[rows, None], lob[slab])
                 mixed = (lo <= 0.0) & (hi >= 0.0)
-                assert (infs[0][mixed] >= 1.0).all(), u.coords
+                assert (infs[mixed] >= 1.0).all(), u.coords
             norm = oracle._sign_matched(uq)[0]
             if norm < 1.0:
                 below += 1
@@ -495,20 +495,22 @@ class TestSignLemma:
 
     def test_the_closed_form_matches_the_dense_pass_beyond_the_reference(self):
         # the naive reference stops at n = 20; here the dense pass over all
-        # 2^n pairs gives the best norm, its smallest tied code and min |s|
+        # 2^n pairs gives the best norm and its smallest tied code, and the
+        # merged sort of the half sums gives min |s|
         for n in (22, 24):
             w = n - n // 2
             for seed in (0, 2, 3):
                 u = sample_sphere(n, seed)
                 uq = _snap(u.coords[None])
                 assert oracle._sign_matched(uq)[0] < 1.0, (n, seed)
-                best_inf, best_code, abs_ip = np.inf, None, np.inf
-                for _, (rows, slab), s, infs in oracle._blocks(oracle._tables(uq, n)):
-                    abs_ip = min(abs_ip, float(np.abs(s).min()))
+                tables, (ia, ib) = oracle._distinct_tables(uq, n)
+                abs_ip = float(oracle._min_abs_sums(*oracle._sums(uq, n))[0])
+                best_inf, best_code = np.inf, None
+                for (rows, slab), infs in oracle._blocks(tables):
                     low = infs.min()
                     if low <= best_inf:
-                        r, c = np.nonzero(infs[0] == low)
-                        code = int(((rows[r] << w) + slab.start + c).min())
+                        r, c = np.nonzero(infs == low)
+                        code = int(((ia[rows][r] << w) + ib[slab][c]).min())
                         if low < best_inf or code < best_code:
                             best_inf, best_code = float(low), code
                 v = enumerate_shadows(u)
@@ -541,17 +543,27 @@ class TestStackedRows:
     def test_merged_sums_give_each_row_its_exact_minimum(self):
         # n = 1 has an empty A half (the one sum 0); zeros, -0.0 and integer
         # ratios give sums of exactly 0, as does (1, 1, 2) with (1, 1, -1)
+        # (10, 1, 1) puts -a below and above every sum of B, so _nearest's
+        # searches run off both ends and the clip keeps the end rows
         zeros = 0
-        for uq in stacks_by_dimension(pruned_kernel_cases() + distinct_row_cases()):
-            (sa,), (sb,) = oracle._tables(uq, 14, sums_only=True)
+        heavy = u_of(10.0, 1.0, 1.0)
+        cases = pruned_kernel_cases() + distinct_row_cases() + [heavy]
+        for uq in stacks_by_dimension(cases):
+            sa, sb = oracle._sums(uq, 14)
             got = oracle._min_abs_sums(sa, sb)
-            merged = [oracle._min_abs_sum(a, np.sort(b)) for a, b in zip(sa, sb)]
+            nearest = []
+            for a, b in zip(sa, np.sort(sb)):
+                nearest.append(float(np.abs(a + b[oracle._nearest(a, b)]).min()))
             brute = np.abs(sa[:, :, None] + sb[:, None]).min((1, 2))
-            assert got.tolist() == merged == brute.tolist(), uq
+            assert got.tolist() == nearest == brute.tolist(), uq
             assert not np.signbit(got).any()
             zeros += int((got == 0.0).sum())
         assert zeros > 0
-        (sa,), (sb,) = oracle._tables(_snap(u_of(1.0, 1.0, 2.0).coords[None]), 3, True)
+        sa, sb = oracle._sums(_snap(heavy.coords[None]), 3)
+        sb = np.sort(sb[0])
+        found = np.searchsorted(sb, -sa[0])
+        assert found.min() == 0 and found.max() == len(sb)
+        sa, sb = oracle._sums(_snap(u_of(1.0, 1.0, 2.0).coords[None]), 3)
         assert oracle._min_abs_sums(sa, sb).tolist() == [0.0]
 
     def test_stacked_sign_matched_norms_are_each_rows_norm(self):
@@ -776,10 +788,18 @@ class TestAgreementSweep:
         ]
         refs = [self.reference(*case) for case in cases]
         assert sum(r.satisfied_count < r.agreements for r in refs) > 0  # both verdicts
+        open_trials = 0  # kept trials whose sign-matched norm is 1 or more
+        for n, trials, seed in cases:
+            for t in range(trials):
+                u = sample_sphere(n, seed, index=t)
+                open_trials += bool(
+                    oracle._sign_matched(_snap(u.coords[None]))[0] >= 1.0
+                    and min_abs_inner_product(u) >= oracle.SKIP_TOL
+                )
         blocks, searched = oracle._blocks, []
 
         def counted(tables, *args):
-            searched.append(len(tables[0][0]))
+            searched.append({x.ndim for half in tables for x in half})
             return blocks(tables, *args)
 
         monkeypatch.setattr(oracle, "_blocks", counted)
@@ -787,10 +807,11 @@ class TestAgreementSweep:
             monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
             for case, ref in zip(cases, refs):
                 assert agreement_sweep(*case) == ref, (bits, case)
-        # some kept trials need the dense pass, and the sign lemma settles
-        # the rest
-        kept = 3 * sum(r.agreements + r.disagreements for r in refs)
-        assert 0 < sum(searched) < kept
+        # each trial that the sign lemma leaves open is searched alone, and
+        # the lemma settles the rest
+        kept = sum(r.agreements + r.disagreements for r in refs)
+        assert 0 < open_trials < kept
+        assert searched == [{1}] * (3 * open_trials)  # one direction's tables
 
     def test_skips_match_one_trial_at_a_time(self, monkeypatch):
         # at n = 14 every trial is skipped, and some would need a search
@@ -799,7 +820,7 @@ class TestAgreementSweep:
 
         def counted(tables, *args):
             (sa, *_), (sb, *_) = tables
-            searched.extend(np.abs(sa[:, :, None] + sb[:, None]).min((1, 2)))
+            searched.append(np.abs(sa[:, None] + sb).min())
             return blocks(tables, *args)
 
         for bits in (3, 14):
