@@ -13,6 +13,7 @@ Gaussian vectors without normalizing each one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -69,10 +70,18 @@ def _gaussian_nonzero(n: int, seed: int, index: int, gen=None) -> np.ndarray:
     )
 
 
+def _check(n: int, *keys: int) -> None:
+    """check_dimension(n), and each Philox key, seed or index, an int in [0, 2^64)."""
+    check_dimension(n)
+    for key in keys:
+        if not (hasattr(key, "__index__") and 0 <= operator.index(key) < 1 << 64):
+            raise ValueError(f"seed and index must be ints in [0, 2^64), got {key!r}")
+
+
 def _draws(n: int, seed: int, indexes: Iterable[int]) -> Iterator[np.ndarray]:
     """_gaussian_nonzero(n, seed, i) for each i, through one generator
-    re-keyed for every draw; n is checked before anything is allocated."""
-    check_dimension(n)
+    re-keyed for every draw; n and seed are checked before anything is drawn."""
+    _check(n, seed)
     gen = np.random.Generator(np.random.Philox(0))
     for i in indexes:
         yield _gaussian_nonzero(n, seed, i, gen)
@@ -85,7 +94,7 @@ def sample_sphere(n: int, seed: int, index: int = 0) -> UnitVector:
     sample_sphere(n, seed, i) is reproducible in isolation; no generator
     state is shared between samples.
     """
-    check_dimension(n)
+    _check(n, seed, index)
     return UnitVector(_gaussian_nonzero(n, seed, index))
 
 

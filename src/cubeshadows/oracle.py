@@ -2,19 +2,21 @@
 
 The direction is first snapped to a dyadic grid with 48 fractional bits,
 which moves each coordinate by at most 2^-49. Every signed sum <eps, u>
-is then a multiple of 2^-48 of size at most sqrt(n) + n 2^-49, below 2^3
-for n <= 28, so it is exact in float64 in any summation order. (Sums stay
-exact while that size is below 2^5, up to n = 1023: DEFAULT_LIMIT bounds
-running time and MAX_LIMIT the size of the half tables, not exactness.)
-Every split and the naive reference therefore give bit-identical verdicts.
+is then a multiple of 2^-48 of size at most sqrt(n) + n 2^-49, below
+6.0001 up to MAX_LIMIT, exact in float64 in any summation order, and its
+key s 2^49 (+ 1) for min |<eps, u>| (_min_abs_sums) is below 2^52, an
+exact int64. (Sums stay exact while that size is below 2^5, up to n =
+1023, and keys below 2^4, up to n = 255: DEFAULT_LIMIT bounds running
+time and MAX_LIMIT the size of the half tables, not exactness.) Every
+split and the naive reference therefore give bit-identical verdicts.
 
 The enumeration meets in the middle (Horowitz and Sahni, JACM 1974). With
 t_k = eps_k u_k and s = sum t_k, |eps_k - s u_k| = |1 - s t_k|, and
 t -> fl(1 - fl(s t)) is monotone, so the shadow sup-norm is attained at
 max t_k or min t_k, bit for bit. Each half, A = u[:n//2] and B =
 u[n//2:], tabulates (s, t_max, t_min) over its sign patterns. A vertex is
-a pair of rows, combined with O(1) work, and min |<eps, u>| pairs each
-row a of A with the rows of B, in order of s, nearest -a (_nearest). Rows
+a pair of rows, combined with O(1) work, and min |<eps, u>| = min |a + b|
+over pairs of sums is read off one sort of the keys of -a and b. Rows
 are in lexicographic order (+1 before -1), so pair (a, b) has code
 a 2^|B| + b, the tie rule's order.
 
@@ -25,18 +27,20 @@ a slice of one fixed sign matrix. Partial sums are exact, and max and
 min return an operand, numpy's the second on a tie of +0 and -0, so the
 tables have the bits of one sign matrix per half, zeros' signs included.
 
-The kernel, _blocks, takes a bound beta and evaluates only the pairs that
-can reach a sup-norm <= beta, with the same formula, so the bits do not
-change. A vertex's norm is at least |1 - s t| for the t_max and t_min of
-its A-row, so with B sorted by s each A-row can pair only with a window
-of B-rows, found by binary search (the sorted-list trick of the same
-paper). The window is widened by a few units in the last place, so the
-filter is conservative: it never drops a pair whose norm is <= beta, and
-the minimum and all its ties survive whenever some vertex reaches beta.
-A-rows sorted by window start are cut into runs, each evaluated against
-the contiguous slab of B its windows span, so the pass never costs more
-than the dense one. beta = inf is the dense pass: every A-row in order
-against all of B, in equal chunks.
+The kernel, _blocks, takes a bound beta and evaluates only the pairs
+that can reach a sup-norm <= beta, with the same formula, so the bits do
+not change. A vertex's norm is at least |1 - s t| for the t_max and
+t_min of its A-row, so with B sorted by s each A-row can pair only with
+a window of B-rows, found by binary search (the sorted-list trick of the
+same paper). The window is widened by a few units in the last place, so
+the filter is conservative: it never drops a pair whose norm is <= beta,
+and the minimum and all its ties survive whenever some vertex reaches
+beta. A-rows sorted by window start are cut into runs, each evaluated
+against the contiguous slab of B its windows span, so the pass never
+costs more than the dense one. beta = inf is the dense pass: every A-row
+in order against all of B, in equal chunks. enumerate_shadows' beta is
+the smallest norm of each A-row with the B-rows whose sums bring s
+nearest 0 (_bound): the one search for those rows (_nearest).
 
 Only the sign-matched vertex eps = sign(u), and its negation, which ties
 it bit for bit, can have a sup-norm below 1. Any other vertex has a t
@@ -49,19 +53,17 @@ best norm, and every verdict takes that vertex, +1 first, with no search.
 A search therefore only ever takes a bound of 1 or more.
 
 Every search is of one direction, and it builds each half table with
-only one row per distinct multiset of t (_class_table). Two rows have
-the same multiset exactly when, for each magnitude of u in the half,
-they have the same count of positive t. Exact sums give equal multisets
-bit-identical (s, t_max, t_min), up to the sign of a zero that
-no norm or sum sees, so no pair norm or sum changes; each row carries the
-smallest row of the full half with its multiset, and as a code is a
-2^|B| + b, the smallest code among tied class pairs is that of their
-smallest rows: the tie rule holds. maximizer(n), whose best vertices tie
-by the thousands, has about n rows per half instead of 2^(n/2); a half
-whose magnitudes are nonzero and distinct, as in a random direction,
-keeps every row. Tables of at most 2^BLOCK_BITS pairs, as for
-maximizer(n) up to MAX_LIMIT and any direction up to n = 14, fill one
-dense chunk, with no bound or window.
+only one row per distinct multiset of t (_class_table). Exact sums give
+equal multisets bit-identical (s, t_max, t_min), up to the sign of a
+zero that no norm or sum sees, so no pair norm or sum changes; each row
+carries the smallest row of the full half with its multiset, and as a
+code is a 2^|B| + b, the smallest code among tied class pairs is that of
+their smallest rows: the tie rule holds. maximizer(n), whose best
+vertices tie by the thousands, has about n rows per half instead of
+2^(n/2); a half whose magnitudes are nonzero and distinct, as in a
+random direction, keeps every row. Tables of at most 2^BLOCK_BITS pairs,
+as for maximizer(n) up to MAX_LIMIT and any direction up to n = 14, fill
+one dense chunk, with no bound, window or search.
 
 Only agreement_sweep stacks directions, and only for their sums-only
 tables (_sums) and sign-matched norms; each trial that they leave open
@@ -89,7 +91,6 @@ MAX_LIMIT = 36  # half tables of 2^18 rows: a run peaks below 80 MB
 BLOCK_BITS = 14
 ORTHO_TOL = 1e-12
 SKIP_TOL = 1e-9
-_NEIGHBOURS = np.array([1, 0])
 _SLACK = 2.0**-50  # 8 unit roundoffs of float64
 _LEAF = 7  # a table of at most this many coordinates reads _SIGNS
 _SIGNS = 1.0 - 2.0 * ((np.arange(1 << _LEAF) >> np.arange(_LEAF)[::-1, None, None]) & 1)
@@ -170,8 +171,7 @@ def _sums(uq: np.ndarray, n_limit: int):
     _check_limit(n, n_limit)
     # coordinate axis first: reducing over it runs on contiguous rows
     u = np.ascontiguousarray(uq.T)[:, :, None]
-    (sa,), (sb,) = _table(u[: n // 2], True), _table(u[n // 2 :], True)
-    return sa, sb
+    return _table(u[: n // 2], True)[0], _table(u[n // 2 :], True)[0]
 
 
 def _class_table(u: np.ndarray):
@@ -222,23 +222,28 @@ def _distinct_tables(uq: np.ndarray, n_limit: int):
 
 def _min_abs_sums(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     """min |a + b| over a in sa[i], b in sb[i] of each row i of two stacks
-    of sum tables, exactly, by one sort of -sa and sb merged along each row:
-    the pair nearest zero is adjacent in that order, or has an adjacent pair
-    of opposite halves between them whose gap is no larger. Every sum is a
-    multiple of 2^-48 below 2^3, so each gap is exact."""
-    merged = np.concatenate((-sa, sb), axis=1)
-    order = np.argsort(merged, axis=1)
-    gaps = np.diff(np.take_along_axis(merged, order, 1), axis=1)
-    in_b = order >= sa.shape[1]
-    return np.abs(np.where(in_b[:, 1:] != in_b[:, :-1], gaps, np.inf).min(axis=1))
+    of sum tables, exactly, by one sort per row of the int64 keys -a 2^49,
+    low bit 0, and b 2^49 + 1, low bit 1. The pair nearest zero is adjacent
+    in that order, or has an adjacent pair of opposite low bits between
+    them whose gap is no larger: (d + (k & 1)) >> 1 units of 2^-48 for a
+    key difference d after key k. A tie -a == b sorts A first: a gap of 0."""
+    keys = np.ldexp(np.concatenate((-sa, sb), axis=1), QUANT_BITS + 1).astype(np.int64)
+    keys[:, sa.shape[1] :] |= 1
+    keys.sort(axis=1)
+    gaps = np.diff(keys, axis=1)
+    keys &= 1  # in place from here: at n = 36 each array of keys takes 4 MiB
+    gaps += keys[:, :-1]
+    gaps >>= 1
+    low = gaps.min(1, initial=np.iinfo(np.int64).max, where=keys[:, 1:] != keys[:, :-1])
+    return np.ldexp(low, -QUANT_BITS)
 
 
 def _search(sb: np.ndarray, keys: np.ndarray, side: str = "left") -> np.ndarray:
     """The indexes of np.searchsorted(sb, keys, side), found for the keys in
     ascending order, where each search starts from the last one, and put
-    back in the keys' order. For thousands of distinct unsorted keys this
-    takes half the time or less, the sort included; for the few dozen keys
-    of tables cut to distinct rows it adds about 10 us."""
+    back in the keys' order: for the thousands of distinct unsorted keys
+    of _windows and _nearest, on tables of more than 2^BLOCK_BITS pairs,
+    half the time or less, the sort included."""
     order = np.argsort(keys)
     found = np.empty(keys.shape, np.intp)
     found[order] = np.searchsorted(sb, keys[order], side)
@@ -247,10 +252,9 @@ def _search(sb: np.ndarray, keys: np.ndarray, side: str = "left") -> np.ndarray:
 
 def _nearest(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     """The indexes j, shape (2, len(sa)), of the two rows of the sorted sb
-    on either side of each -a, a in sa, clipped to sb: the sum a + sb[j]
-    nearest zero is among them, so min |sa + sb[j]| is min |a + b| over
-    all pairs, exactly."""
-    return np.clip(_search(sb, -sa) - _NEIGHBOURS[:, None], 0, len(sb) - 1)
+    on either side of each -a, a in sa, clipped to sb: the B-rows whose sums
+    bring s nearest 0, for _bound (min |s| itself is _min_abs_sums')."""
+    return np.clip(_search(sb, -sa) - np.array([[1], [0]]), 0, len(sb) - 1)
 
 
 def _sign_matched(uq: np.ndarray) -> np.ndarray:
@@ -263,13 +267,14 @@ def _sign_matched(uq: np.ndarray) -> np.ndarray:
     return np.maximum(hi, lo)
 
 
-def _bound(tables, j: np.ndarray, matched: float) -> float:
+def _bound(tables, matched: float) -> float:
     """An upper bound on the best sup-norm of one direction whose
     sign-matched vertex has the norm matched: the smallest norm, by the
     kernel's operations, of that vertex and of each A-row paired with the
-    B-rows j (_nearest) whose sums bring s nearest 0. Each is the norm of
-    a vertex, so the bound is at or above the best norm."""
+    B-rows (_nearest) whose sums bring s nearest 0. Each is the norm of a
+    vertex, so the bound is at or above the best norm."""
     (sa, hia, loa), (sb, hib, lob) = tables
+    j = _nearest(sa, sb)
     s = sa + sb[j]
     hi, lo = np.maximum(hia, hib[j]), np.minimum(loa, lob[j])
     norms = np.maximum(np.abs(1.0 - s * hi), np.abs(1.0 - s * lo))
@@ -377,14 +382,6 @@ def _verdict(best_inf: float, best_vertex: Vertex, min_abs_ip: float) -> OracleV
     )
 
 
-def _min_abs_ip(uq: np.ndarray, n_limit: int) -> float:
-    """min |<eps, uq>| of one snapped direction uq, shape (1, n), exactly,
-    from the sums-only half tables, B sorted (_nearest)."""
-    (sa,), (sb,) = _sums(uq, n_limit)
-    sb = np.sort(sb)
-    return float(np.abs(sa + sb[_nearest(sa, sb)]).min())
-
-
 def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerdict:
     """Report the best shadow over all 2^n vertices.
 
@@ -407,16 +404,14 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
     matched = float(_sign_matched(uq)[0])
     if matched < 1.0:  # no zero coordinate: sign(uq) is a vertex
         best = Vertex(np.sign(uq[0]) * np.sign(uq[0, 0]))
-        return _verdict(matched, best, _min_abs_ip(uq, n_limit))
+        return _verdict(matched, best, float(_min_abs_sums(*_sums(uq, n_limit))[0]))
     tables, (ia, ib) = _distinct_tables(uq, n_limit)
     (sa, _, _), (sb, _, _) = tables
-    j = _nearest(sa, sb)
     fits = len(sa) * len(sb) <= 1 << BLOCK_BITS  # one dense chunk of _blocks
+    beta = np.inf if fits else _bound(tables, matched)
     w = u.n - u.n // 2
     best_inf, best_code = np.inf, 1 << u.n
-    for (rows, slab), infs in _blocks(
-        tables, np.inf if fits else _bound(tables, j, matched)
-    ):
+    for (rows, slab), infs in _blocks(tables, beta):
         low = infs.min()
         rows = ia[rows]
         if low > best_inf or (low == best_inf and int(rows.min()) << w > best_code):
@@ -425,7 +420,7 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
         code = int(((rows[r] << w) + ib[slab][c]).min())
         if low < best_inf or code < best_code:
             best_inf, best_code = float(low), code
-    min_abs_ip = float(np.abs(sa + sb[j]).min())
+    min_abs_ip = float(_min_abs_sums(sa[None], sb[None])[0])
     return _verdict(best_inf, _vertex_from_code(best_code, u.n), min_abs_ip)
 
 
@@ -444,10 +439,7 @@ def enumerate_shadows_naive(u: UnitVector, n_limit: int = 20) -> OracleVerdict:
     uq = _snap(u.coords)
     shifts = np.arange(n - 1, -1, -1)
     rows = 1 << 14
-
-    best_inf = np.inf
-    best_code = None
-    min_abs_ip = np.inf
+    best_inf, best_code, min_abs_ip = np.inf, None, np.inf
     for c0 in range(0, 1 << n, rows):
         codes = np.arange(c0, min(c0 + rows, 1 << n))
         signs = 1.0 - 2.0 * ((codes[:, None] >> shifts) & 1)
@@ -457,7 +449,6 @@ def enumerate_shadows_naive(u: UnitVector, n_limit: int = 20) -> OracleVerdict:
         if infs[i] < best_inf:
             best_inf, best_code = float(infs[i]), c0 + i
         min_abs_ip = min(min_abs_ip, float(np.abs(s).min()))
-
     return _verdict(best_inf, _vertex_from_code(best_code, n), min_abs_ip)
 
 
@@ -479,8 +470,8 @@ def _inside(uq: np.ndarray) -> bool:
 
 def min_abs_inner_product(u: UnitVector) -> float:
     """Smallest |<eps, u>| over all sign vectors eps, computed exactly
-    on the snapped direction from the sorted half sums."""
-    return _min_abs_ip(_snap(u.coords[None]), DEFAULT_LIMIT)
+    on the snapped direction from one sort of its half sums' keys."""
+    return float(_min_abs_sums(*_sums(_snap(u.coords[None]), DEFAULT_LIMIT))[0])
 
 
 def is_orthogonal_to_some_vertex(u: UnitVector) -> bool:

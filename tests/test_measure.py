@@ -192,6 +192,26 @@ class TestEstimate:
             estimate(3, 5, seed=1)
         assert estimate(8, 4, seed=1).samples == 4
 
+    def test_seeds_and_indexes_are_ints_in_the_key_range(self):
+        # Philox keys are two unsigned 64-bit words: a fractional seed must
+        # not draw with its truncation, nor an out-of-range one overflow
+        from cubeshadows.oracle import agreement_sweep
+
+        for bad in (1.9, 1.0, -1, 2**64, "1", None):
+            for call in (
+                lambda: sample_sphere(5, bad),
+                lambda: sample_sphere(5, 1, bad),
+                lambda: estimate(5, 4, bad),
+                lambda: growth_scan([3], 4, bad),
+                lambda: agreement_sweep(12, 50, bad),
+            ):
+                with pytest.raises(ValueError, match=r"ints in \[0, 2\^64\)"):
+                    call()
+        # any int type in the range keys the same stream
+        top = sample_sphere(5, np.uint64(2**64 - 1), np.int64(3))
+        assert top.coords.tobytes() == sample_sphere(5, 2**64 - 1, 3).coords.tobytes()
+        assert sample_sphere(5, 0, 2**64 - 1).n == 5
+
 
 class TestGrowthScan:
     def test_orders_results_by_request(self):

@@ -257,8 +257,7 @@ class TestPrunedKernel:
             matched = float(oracle._sign_matched(uq)[0])
             if matched >= 1.0:
                 tables, _ = oracle._distinct_tables(uq, 14)
-                (sa, *_), (sb, *_) = tables
-                bound = oracle._bound(tables, oracle._nearest(sa, sb), matched)
+                bound = oracle._bound(tables, matched)
                 assert ref.best_inf_norm <= bound <= matched, u.coords
         for bits in (3, 8, 14):
             monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
@@ -316,13 +315,11 @@ class TestPrunedKernel:
         for u in cases:
             uq = _snap(u.coords[None])
             tables, _ = oracle._distinct_tables(uq, 20)
-            (sa, *_), (sb, *_) = tables
             betas = [1.0 + oracle.INSIDE_TOL, 0.0, 1.0, 1.5, 3.0]
             seen = []
             for search in searches:
                 monkeypatch.setattr(oracle, "_search", search)
-                j = oracle._nearest(sa, sb)
-                bound = oracle._bound(tables, j, float(oracle._sign_matched(uq)[0]))
+                bound = oracle._bound(tables, float(oracle._sign_matched(uq)[0]))
                 windows = [oracle._windows(tables, b) for b in betas + [bound]]
                 seen.append((bound, [np.stack(w).tolist() for w in windows]))
             assert seen[0] == seen[1], u.coords
@@ -364,13 +361,14 @@ class TestDistinctRows:
                     assert triple == [x[0, row] for x in ref], (u.coords, row)
 
     def test_tables_that_fit_one_chunk_run_no_search(self, monkeypatch):
-        # the dense chunk holds every pair that the pruned pass keeps
+        # the dense chunk holds every pair that the pruned pass keeps, and
+        # min |s| needs no neighbour search
         def searched(*_):
             raise AssertionError("search")
 
         cases = distinct_row_cases() + [maximizer(n) for n in range(2, 21)]
         refs = [enumerate_shadows_naive(u) for u in cases]
-        for name in ("_bound", "_windows", "_runs"):
+        for name in ("_bound", "_windows", "_runs", "_nearest", "_search"):
             monkeypatch.setattr(oracle, name, searched)
         for u, ref in zip(cases, refs):
             (a, b), _ = oracle._distinct_tables(_snap(u.coords[None]), 20)
@@ -475,7 +473,8 @@ class TestSignLemma:
 
     def test_a_criterion_holding_direction_runs_no_search(self, monkeypatch):
         # a sign-matched norm below 1 is the verdict: no t_max or t_min
-        # table is built and no step of the search runs
+        # table is built, no step of the search runs, and min |s| comes
+        # from one sort of the half sums' keys, with no binary search
         table = oracle._table
 
         def sums_only(u, sums_only=False):
@@ -489,9 +488,12 @@ class TestSignLemma:
         assert criterion(u).satisfied
         ref = enumerate_shadows_naive(u)
         monkeypatch.setattr(oracle, "_table", sums_only)
-        for name in ("_distinct_tables", "_bound", "_windows", "_blocks"):
+        for name in (
+            "_distinct_tables", "_bound", "_windows", "_blocks", "_nearest", "_search"
+        ):
             monkeypatch.setattr(oracle, name, searched)
         assert verdicts_equal(enumerate_shadows(u), ref)
+        assert min_abs_inner_product(u) == ref.min_abs_inner_product
 
     def test_the_closed_form_matches_the_dense_pass_beyond_the_reference(self):
         # the naive reference stops at n = 20; here the dense pass over all
@@ -548,6 +550,7 @@ class TestStackedRows:
         zeros = 0
         heavy = u_of(10.0, 1.0, 1.0)
         cases = pruned_kernel_cases() + distinct_row_cases() + [heavy]
+        cases += [sample_sphere(n, 17, i) for n in range(1, 15) for i in range(6)]
         for uq in stacks_by_dimension(cases):
             sa, sb = oracle._sums(uq, 14)
             got = oracle._min_abs_sums(sa, sb)
@@ -565,6 +568,44 @@ class TestStackedRows:
         assert found.min() == 0 and found.max() == len(sb)
         sa, sb = oracle._sums(_snap(u_of(1.0, 1.0, 2.0).coords[None]), 3)
         assert oracle._min_abs_sums(sa, sb).tolist() == [0.0]
+
+    def test_packed_keys_are_exact_at_their_edges(self):
+        # the largest key, |s| 2^49 + 1 with |s| at most sqrt(n) + n 2^-49,
+        # is an integer below 2^53 up to the ceiling: float64 holds it and
+        # its int64 conversion is exact
+        top = math.sqrt(oracle.MAX_LIMIT) + oracle.MAX_LIMIT * 2.0**-49
+        assert top * 2.0 ** (oracle.QUANT_BITS + 1) + 1 < 2**53
+        unit = 2.0**-oracle.QUANT_BITS
+        # an empty A half (n = 1), n = 2, an exact tie -a == b, and two
+        # snapped coordinates one unit of 2^-48 apart
+        one_unit = u_of(1.0, 1.0 + 8 * 2.0**-52)
+        assert integer_min_abs_sum(one_unit) == 1
+        for u in (u_of(0.6), u_of(0.6, -0.8), u_of(1.0, 1.0, 2.0), one_unit):
+            sa, sb = oracle._sums(_snap(u.coords[None]), 3)
+            exact = math.ldexp(integer_min_abs_sum(u), -oracle.QUANT_BITS)
+            brute = float(np.abs(sa[:, :, None] + sb[:, None]).min())
+            assert oracle._min_abs_sums(sa, sb).tolist() == [brute] == [exact]
+        assert min_abs_inner_product(one_unit) == unit
+        # the all-equal direction at the ceiling: |s| reaches 6, min |s| = 0
+        uq = _snap(np.full((1, oracle.MAX_LIMIT), oracle.MAX_LIMIT**-0.5))
+        sa, sb = oracle._sums(uq, oracle.MAX_LIMIT)
+        assert np.abs(sa).max() + np.abs(sb).max() >= 6.0 - oracle.MAX_LIMIT * unit
+        b = np.sort(sb[0])
+        nearest = float(np.abs(sa[0] + b[oracle._nearest(sa[0], b)]).min())
+        assert oracle._min_abs_sums(sa, sb).tolist() == [nearest] == [0.0]
+        # sums of both signs up to +-6 whose nearest pairs lie 0 to 2 units
+        # apart, b above or below -a, and rows of the extreme sums alone
+        rng = np.random.default_rng(29)
+        edge = 6 << oracle.QUANT_BITS
+        ia = rng.integers(-edge, edge + 1, (40, 9))
+        ib = np.clip(rng.integers(-2, 3, (40, 9)) - np.roll(ia, 1, axis=1), -edge, edge)
+        ia[:4] = np.array([edge, -edge, edge - 1, -edge])[:, None]
+        ib[:4] = np.array([1 - edge, edge, -edge, edge - 3])[:, None]
+        want = [min(abs(a + b) for a in x for b in y) for x, y in zip(ia, ib)]
+        assert want[:4] == [1, 0, 1, 3] and {0, 1} <= set(want[4:])
+        sums = (np.ldexp(x.astype(np.float64), -oracle.QUANT_BITS) for x in (ia, ib))
+        got = oracle._min_abs_sums(*sums)
+        assert got.tolist() == [math.ldexp(int(w), -oracle.QUANT_BITS) for w in want]
 
     def test_stacked_sign_matched_norms_are_each_rows_norm(self):
         # the sum of |u| is exact in any order, so a stack has each row's bits
