@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import NonConvergence, check_dimension
 from .geometry import UnitVector, criterion_product
+from .measure import _check
 
 GRAD_TOL = 1e-11
 MAX_ITERS = 100_000
@@ -96,8 +97,9 @@ def numerical_max(n: int, restarts: int = 8, seed: int = 0) -> AscentResult:
     the surrogate with a fixed step, and renormalizes after every move.
     Raises NonConvergence (carrying the best point seen) if no restart
     drives the tangent gradient below GRAD_TOL within MAX_ITERS steps.
+    The seed keys Philox, as in measure: an int in [0, 2^64).
     """
-    check_dimension(n)
+    _check(n, seed)
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got {restarts}")
     step = 0.1 / math.sqrt(n)

@@ -5,69 +5,62 @@ which moves each coordinate by at most 2^-49. Every signed sum <eps, u>
 is then a multiple of 2^-48 of size at most sqrt(n) + n 2^-49, below
 6.0001 up to MAX_LIMIT, exact in float64 in any summation order, and its
 key s 2^49 (+ 1) for min |<eps, u>| (_min_abs_sums) is below 2^52, an
-exact int64. (Sums stay exact while that size is below 2^5, up to n =
-1023, and keys below 2^4, up to n = 255: DEFAULT_LIMIT bounds running
-time and MAX_LIMIT the size of the half tables, not exactness.) Every
-split and the naive reference therefore give bit-identical verdicts.
+exact int64. (Sums stay exact up to n = 1023 and keys up to n = 255:
+DEFAULT_LIMIT bounds running time and MAX_LIMIT the size of the half
+tables, not exactness.) Every split and the naive reference therefore
+give bit-identical verdicts.
 
 The enumeration meets in the middle (Horowitz and Sahni, JACM 1974). With
 t_k = eps_k u_k and s = sum t_k, |eps_k - s u_k| = |1 - s t_k|, and
 t -> fl(1 - fl(s t)) is monotone, so the shadow sup-norm is attained at
 max t_k or min t_k, bit for bit. Each half, A = u[:n//2] and B =
-u[n//2:], tabulates (s, t_max, t_min) over its sign patterns. A vertex is
-a pair of rows, combined with O(1) work, and min |<eps, u>| = min |a + b|
-over pairs of sums is read off one sort of the keys of -a and b. Rows
-are in lexicographic order (+1 before -1), so pair (a, b) has code
-a 2^|B| + b, the tie rule's order.
+u[n//2:], tabulates (s, t_max, t_min) over its sign patterns, and a
+vertex is a pair of rows, combined with O(1) work. Rows are in
+lexicographic order (+1 before -1), so pair (a, b) has code a 2^|B| + b,
+the tie rule's order.
 
-A half table is in turn the same pairing of its two quarters (_table):
-its rows' s, t_max and t_min are outer sums, maxima and minima, O(2^(n/2))
-time and memory in all, and a quarter of at most _LEAF coordinates reads
-a slice of one fixed sign matrix. Partial sums are exact, and max and
-min return an operand, numpy's the second on a tie of +0 and -0, so the
+A half table is in turn the same pairing of its two quarters (_table),
+in O(2^(n/2)) time and memory. Partial sums are exact, and max and min
+return an operand, numpy's the second on a tie of +0 and -0, so the
 tables have the bits of one sign matrix per half, zeros' signs included.
 
-The kernel, _blocks, takes a bound beta and evaluates only the pairs
-that can reach a sup-norm <= beta, with the same formula, so the bits do
-not change. A vertex's norm is at least |1 - s t| for the t_max and
-t_min of its A-row, so with B sorted by s each A-row can pair only with
-a window of B-rows, found by binary search (the sorted-list trick of the
-same paper). The window is widened by a few units in the last place, so
-the filter is conservative: it never drops a pair whose norm is <= beta,
-and the minimum and all its ties survive whenever some vertex reaches
-beta. A-rows sorted by window start are cut into runs, each evaluated
-against the contiguous slab of B its windows span, so the pass never
-costs more than the dense one. beta = inf is the dense pass: every A-row
-in order against all of B, in equal chunks. enumerate_shadows' beta is
-the smallest norm of each A-row with the B-rows whose sums bring s
-nearest 0 (_bound): the one search for those rows (_nearest).
+The kernel, _blocks, takes a bound beta and evaluates, with the same
+formula, only the pairs that can reach a sup-norm <= beta: with B sorted
+by s, the t_max and t_min of an A-row confine it to a window of B-rows,
+found by binary search (_windows, the sorted-list trick of the same
+paper) and widened so that no pair at or below beta is dropped. The
+minimum and all its ties survive whenever some vertex reaches beta.
+beta = inf is the dense pass. enumerate_shadows' beta is the smallest
+norm of each A-row with the B-rows whose sums bring s nearest 0 (_bound).
 
 Only the sign-matched vertex eps = sign(u), and its negation, which ties
 it bit for bit, can have a sup-norm below 1. Any other vertex has a t
-that is zero, or t of both signs, so s t_max and s t_min are not both
-positive: some t has fl(s t) <= 0, and |1 - s t| >= 1 bit for bit. Where
-that vertex's norm (_sign_matched) is below 1, that is, where the snapped
-direction has no zero coordinate and ||uq||_1 ||uq||_inf < 2 in the
-kernel's roundings (roughly, the criterion product below 2), it is the
-best norm, and every verdict takes that vertex, +1 first, with no search.
-A search therefore only ever takes a bound of 1 or more.
+that is zero, or t of both signs, so some t has fl(s t) <= 0, and
+|1 - s t| >= 1 bit for bit. Where that vertex's norm (_sign_matched) is
+below 1 (roughly, the criterion product below 2), it is the best norm,
+and every verdict takes that vertex, +1 first, with no search. A search
+therefore only ever takes a bound of 1 or more.
 
-Every search is of one direction, and it builds each half table with
-only one row per distinct multiset of t (_class_table). Exact sums give
-equal multisets bit-identical (s, t_max, t_min), up to the sign of a
-zero that no norm or sum sees, so no pair norm or sum changes; each row
-carries the smallest row of the full half with its multiset, and as a
-code is a 2^|B| + b, the smallest code among tied class pairs is that of
-their smallest rows: the tie rule holds. maximizer(n), whose best
-vertices tie by the thousands, has about n rows per half instead of
-2^(n/2); a half whose magnitudes are nonzero and distinct, as in a
-random direction, keeps every row. Tables of at most 2^BLOCK_BITS pairs,
-as for maximizer(n) up to MAX_LIMIT and any direction up to n = 14, fill
-one dense chunk, with no bound, window or search.
+The search builds each half table with only one row per distinct
+multiset of t (_class_table). Exact sums give equal multisets
+bit-identical (s, t_max, t_min), up to the sign of a zero that no norm
+or sum sees; each row carries the smallest row of the full half with its
+multiset, and as a code is a 2^|B| + b, the smallest code among tied
+class pairs is that of their smallest rows: the tie rule holds.
+maximizer(n) has about n rows per half instead of 2^(n/2). Tables of at
+most 2^BLOCK_BITS pairs, as for maximizer(n) up to MAX_LIMIT and any
+direction up to n = 14, fill one dense chunk, with no bound or window.
 
-Only agreement_sweep stacks directions, and only for their sums-only
-tables (_sums) and sign-matched norms; each trial that they leave open
-is searched alone, as any_vertex_inside searches (_inside).
+Every inside flag is exact, on the snapped direction: write U = uq 2^48,
+integers. Some vertex has an exact shadow sup-norm <= 1 exactly when
+min |<eps, U>| = 0 or ||U||_1 ||U||_inf <= 2^97. Proof: take S = <eps, U>.
+If S = 0, the shadow of eps is eps, of norm 1. If S > 0 (else negate
+eps), |1 - s t_k| <= 1 means 0 <= s t_k <= 2, so no t_k is negative: eps
+is sign(u) off the zero coordinates, S = ||U||_1, and the norm is <= 1
+exactly when S max |U_k| <= 2^97 (_matched_inside). No tolerance
+decides a flag, and no flag needs a search. best_inf_norm, the kernel's
+float, is below 1 only if some vertex is inside and above 1 only if none
+is, but may round to 1 either way.
 """
 
 from __future__ import annotations
@@ -79,7 +72,7 @@ from itertools import accumulate, islice
 import numpy as np
 
 from .errors import DimensionTooLarge
-from .geometry import CRITERION_TOL, INSIDE_TOL, UnitVector, Vertex
+from .geometry import CRITERION_TOL, UnitVector, Vertex
 from .geometry import _criterion_products, _unit_rows
 from .geometry import criterion  # perfbench wraps oracle.criterion
 from .measure import _draws
@@ -89,8 +82,6 @@ QUANT_BITS = 48
 DEFAULT_LIMIT = 28
 MAX_LIMIT = 36  # half tables of 2^18 rows: a run peaks below 80 MB
 BLOCK_BITS = 14
-ORTHO_TOL = 1e-12
-SKIP_TOL = 1e-9
 _SLACK = 2.0**-50  # 8 unit roundoffs of float64
 _LEAF = 7  # a table of at most this many coordinates reads _SIGNS
 _SIGNS = 1.0 - 2.0 * ((np.arange(1 << _LEAF) >> np.arange(_LEAF)[::-1, None, None]) & 1)
@@ -240,10 +231,9 @@ def _min_abs_sums(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
 
 def _search(sb: np.ndarray, keys: np.ndarray, side: str = "left") -> np.ndarray:
     """The indexes of np.searchsorted(sb, keys, side), found for the keys in
-    ascending order, where each search starts from the last one, and put
-    back in the keys' order: for the thousands of distinct unsorted keys
-    of _windows and _nearest, on tables of more than 2^BLOCK_BITS pairs,
-    half the time or less, the sort included."""
+    ascending order and put back in the keys' order: for the thousands of
+    distinct unsorted keys of _windows and _nearest, half the time or less,
+    the sort included."""
     order = np.argsort(keys)
     found = np.empty(keys.shape, np.intp)
     found[order] = np.searchsorted(sb, keys[order], side)
@@ -347,8 +337,7 @@ def _blocks(tables, beta=np.inf):
     pairs that fit in one chunk, the pass is dense: the runs of A-rows have
     equal lengths, come in order and pair with all of B. Otherwise B is in
     order of s (_distinct_tables), and each run pairs with the slab that
-    its rows' windows span. Every shadow reduction runs over this one
-    loop."""
+    its rows' windows span."""
     (sa, hia, loa), (sb, hib, lob) = tables
     cap = 1 << BLOCK_BITS
     if beta == np.inf or len(sa) * len(sb) <= cap:  # or one chunk holds every pair
@@ -370,15 +359,23 @@ def _blocks(tables, beta=np.inf):
         yield (rows[r], c), np.maximum(hi, lo, out=hi)
 
 
-def _verdict(best_inf: float, best_vertex: Vertex, min_abs_ip: float) -> OracleVerdict:
-    """The one place where INSIDE_TOL and ORTHO_TOL turn norms into flags."""
+def _matched_inside(uq: np.ndarray) -> np.ndarray:
+    """Whether the sign-matched vertex eps = sign(u) of each of T snapped
+    directions uq, shape (T, n), is exactly inside: ||U||_1 ||U||_inf <=
+    2^97 for U = uq 2^48, in Python ints, as the product reaches 2^103."""
+    units = np.abs(np.ldexp(uq, QUANT_BITS)).astype(np.int64)
+    pairs = zip(units.sum(axis=1).tolist(), units.max(axis=1).tolist())
+    return np.fromiter((s * m <= 1 << 2 * QUANT_BITS + 1 for s, m in pairs), bool)
+
+
+def _verdict(inside, best_inf, best_vertex: Vertex, min_abs_ip) -> OracleVerdict:
     return OracleVerdict(
-        exists_inside=bool(best_inf <= 1.0 + INSIDE_TOL),
+        exists_inside=bool(inside),
         best_vertex=best_vertex,
-        best_inf_norm=best_inf,
+        best_inf_norm=float(best_inf),
         vertices_checked=1 << best_vertex.n,
-        orthogonal_vertex_found=bool(min_abs_ip <= ORTHO_TOL),
-        min_abs_inner_product=min_abs_ip,
+        orthogonal_vertex_found=bool(min_abs_ip == 0.0),
+        min_abs_inner_product=float(min_abs_ip),
     )
 
 
@@ -388,23 +385,20 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
     Where the sign-matched vertex's norm is below 1, that vertex, +1 first,
     is the verdict with no search (the sign lemma of the module docstring).
     Otherwise the kernel pairs the rows of distinct multisets of t in each
-    half: all pairs where they fit in one chunk, else only those whose
-    window admits a sup-norm up to a bound, the smallest norm of the pairs
-    whose sums lie nearest 0 (_bound), 1 or more. Every vertex left out has
-    a norm above the bound or that of a kept pair of smaller code, so the
-    verdict covers all 2^n vertices (vertices_checked) though not every
-    vertex is evaluated, and it is bit for bit the dense pass's.
-    Ties in the minimal sup-norm go to the lexicographically smallest sign
-    pattern (+1 sorts before -1): a chunk's tied vertices yield their
-    smallest code, and a later chunk replaces it only with a smaller norm
-    or a smaller code, so the verdict is identical for any chunk size.
-    n_limit may not exceed MAX_LIMIT.
+    half, all of them or those that can reach a bound of 1 or more (_bound).
+    Every vertex left out has a norm above the bound or that of a kept pair
+    of smaller code, so the verdict covers all 2^n vertices
+    (vertices_checked), bit for bit the dense pass's. Ties in the minimal
+    sup-norm go to the lexicographically smallest sign pattern (+1 sorts
+    before -1): a chunk's tied vertices yield their smallest code, and a
+    later chunk replaces it only with a smaller norm or code, so any chunk
+    size gives the same verdict. n_limit may not exceed MAX_LIMIT.
     """
     uq = _snap(u.coords[None])
     matched = float(_sign_matched(uq)[0])
-    if matched < 1.0:  # no zero coordinate: sign(uq) is a vertex
+    if matched < 1.0:  # no zero coordinate: sign(uq) is a vertex, and inside
         best = Vertex(np.sign(uq[0]) * np.sign(uq[0, 0]))
-        return _verdict(matched, best, float(_min_abs_sums(*_sums(uq, n_limit))[0]))
+        return _verdict(True, matched, best, _min_abs_sums(*_sums(uq, n_limit))[0])
     tables, (ia, ib) = _distinct_tables(uq, n_limit)
     (sa, _, _), (sb, _, _) = tables
     fits = len(sa) * len(sb) <= 1 << BLOCK_BITS  # one dense chunk of _blocks
@@ -420,8 +414,9 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
         code = int(((rows[r] << w) + ib[slab][c]).min())
         if low < best_inf or code < best_code:
             best_inf, best_code = float(low), code
-    min_abs_ip = float(_min_abs_sums(sa[None], sb[None])[0])
-    return _verdict(best_inf, _vertex_from_code(best_code, u.n), min_abs_ip)
+    min_abs_ip = _min_abs_sums(sa[None], sb[None])[0]
+    inside = min_abs_ip == 0.0 or _matched_inside(uq)[0]
+    return _verdict(inside, best_inf, _vertex_from_code(best_code, u.n), min_abs_ip)
 
 
 def enumerate_shadows_naive(u: UnitVector, n_limit: int = 20) -> OracleVerdict:
@@ -430,42 +425,48 @@ def enumerate_shadows_naive(u: UnitVector, n_limit: int = 20) -> OracleVerdict:
     Kept deliberately dumb so it can cross-check enumerate_shadows; on
     snapped coordinates the two are bit-identical. Each chunk is an
     explicit matrix of sign vectors in lexicographic order, projected in
-    full; the first minimum wins, so ties go to the smallest code.
+    full; the first minimum wins, so ties go to the smallest code. A vertex
+    whose float norm is not above 1 is inside when 0 <= S T_k <= 2^97 for
+    every k, in integers: S = <eps, U>, T_k = eps_k U_k and U = uq 2^48.
     Unusable beyond small n, hence the lower default cap.
     """
     n = u.n
     if n > n_limit:
         raise DimensionTooLarge(n, n_limit)
     uq = _snap(u.coords)
+    units = np.ldexp(uq, QUANT_BITS).astype(np.int64)
+    # S T_k <= 2^97 for every k as |S| <= 2^97 // max |U_k|: S U_k overflows
+    cap = (1 << 2 * QUANT_BITS + 1) // int(np.abs(units).max())
     shifts = np.arange(n - 1, -1, -1)
     rows = 1 << 14
-    best_inf, best_code, min_abs_ip = np.inf, None, np.inf
+    best_inf, best_code, min_abs_ip, inside = np.inf, None, np.inf, False
     for c0 in range(0, 1 << n, rows):
         codes = np.arange(c0, min(c0 + rows, 1 << n))
-        signs = 1.0 - 2.0 * ((codes[:, None] >> shifts) & 1)
+        bits = (codes[:, None] >> shifts) & 1
+        signs = 1.0 - 2.0 * bits
         s = (signs * uq).sum(axis=1)
         infs = np.abs(signs - s[:, None] * uq).max(axis=1)
         i = int(np.argmin(infs))
         if infs[i] < best_inf:
             best_inf, best_code = float(infs[i]), c0 + i
         min_abs_ip = min(min_abs_ip, float(np.abs(s).min()))
-    return _verdict(best_inf, _vertex_from_code(best_code, n), min_abs_ip)
+        t = (1 - 2 * bits[infs <= 1.0]) * units  # a float norm above 1 is so exactly
+        big = t.sum(axis=1)
+        fits = (np.abs(big) <= cap) & (np.sign(big)[:, None] * t >= 0).all(axis=1)
+        inside = inside or bool(fits.any())
+    return _verdict(inside, best_inf, _vertex_from_code(best_code, n), min_abs_ip)
 
 
 def any_vertex_inside(u: UnitVector) -> bool:
-    """Boolean-only query: on the rows of distinct multisets of t in each
-    half, evaluates every pair where they fit in one chunk (312 for the 2^24
-    vertices of maximizer(24)), else only the pairs that can reach a
-    sup-norm of 1 + INSIDE_TOL, and stops at the first chunk with an inside
-    vertex."""
-    return _inside(_snap(u.coords[None]))
-
-
-def _inside(uq: np.ndarray) -> bool:
-    """any_vertex_inside of one snapped direction uq, shape (1, n)."""
-    beta = 1.0 + INSIDE_TOL
-    tables, _ = _distinct_tables(uq, DEFAULT_LIMIT)
-    return any(float(infs.min()) <= beta for _, infs in _blocks(tables, beta))
+    """Boolean-only query, by the rule of the module docstring: O(n) where
+    the sign-matched vertex is inside, else whether min |<eps, u>| = 0: some
+    exact sum of A, negated, is one of B, in the distinct-row tables."""
+    uq = _snap(u.coords[None])
+    _check_limit(u.n, DEFAULT_LIMIT)
+    if _matched_inside(uq)[0]:
+        return True
+    ((sa, _, _), (sb, _, _)), _ = _distinct_tables(uq, DEFAULT_LIMIT)
+    return not set((-sa).tolist()).isdisjoint(sb.tolist())
 
 
 def min_abs_inner_product(u: UnitVector) -> float:
@@ -475,31 +476,29 @@ def min_abs_inner_product(u: UnitVector) -> float:
 
 
 def is_orthogonal_to_some_vertex(u: UnitVector) -> bool:
-    """Whether some cube vertex has |<eps, u>| <= ORTHO_TOL.
+    """Whether some cube vertex has <eps, u> = 0 on the snapped direction.
 
     These directions form a measure-zero union of 2^(n-1) lower
     dimensional spheres; on them the criterion's guarantee is void, so
     callers use this to flag results rather than trust them.
     """
-    return min_abs_inner_product(u) <= ORTHO_TOL
+    return min_abs_inner_product(u) == 0.0
 
 
 def agreement_sweep(n: int, trials: int, seed: int) -> AgreementStats:
     """Compare the criterion against full enumeration on random directions.
 
-    Samples uniform points on the sphere, skips those whose smallest
-    |<eps, u>| falls below SKIP_TOL (the criterion promises nothing
-    there), and counts agreements between the product test and the
-    exhaustive inside-vertex verdict. Disagreements are counted, not
-    raised; the test suite asserts the count is zero. Trials go in groups
-    of about 2^BLOCK_BITS half sums, drawn through one re-keyed generator
+    Samples uniform points on the sphere, skips those orthogonal to some
+    vertex, min |<eps, u>| = 0 (the criterion promises nothing there), and
+    counts agreements between the product test and the exact inside
+    verdict. Disagreements are counted, not raised. Trials go in groups of
+    about 2^BLOCK_BITS half sums, drawn through one re-keyed generator
     (measure._draws) and normalized as stacked rows (geometry._unit_rows)
-    that also give the criterion products. One merged sort of each
-    trial's half sums gives its exact min |s| (_min_abs_sums). A kept
-    trial whose sign-matched norm is below 1 is inside; each other kept
-    trial is searched alone (_inside). No UnitVector is built per trial,
-    and the tally has the bits of sample_sphere(n, seed, t), criterion and
-    enumerate_shadows for trial t.
+    that also give the criterion products. One merged sort of each trial's
+    half sums gives its exact min |s| (_min_abs_sums), and a kept trial is
+    inside exactly when its sign-matched vertex is (_matched_inside): no
+    trial is searched, no UnitVector is built, and the tally has the bits
+    of sample_sphere(n, seed, t), criterion and enumerate_shadows.
     """
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")
@@ -510,10 +509,8 @@ def agreement_sweep(n: int, trials: int, seed: int) -> AgreementStats:
     for _ in range(0, trials, group):
         us = _unit_rows(np.stack(list(islice(draws, group))))
         uq = _snap(us)
-        kept = _min_abs_sums(*_sums(uq, DEFAULT_LIMIT)) >= SKIP_TOL
-        inside = _sign_matched(uq) < 1.0
-        for i in np.flatnonzero(kept & ~inside):
-            inside[i] = _inside(uq[i : i + 1])
+        kept = _min_abs_sums(*_sums(uq, DEFAULT_LIMIT)) > 0.0
+        inside = _matched_inside(uq)
         satisfied = (_criterion_products(us) <= 2.0 + CRITERION_TOL) & kept
         agree = (satisfied == inside) & kept
         skips += len(us) - int(kept.sum())

@@ -32,8 +32,9 @@ GROWTH_DIMS = (10, 100, 1000, 10_000)
 def test_criterion_1_matches_exhaustive_enumeration_in_2_to_14_dims():
     """2000 seeded directions per dimension, zero disagreements, < 60s.
 
-    Directions whose smallest |<vertex, u>| falls below 1e-9 are skipped:
-    the criterion promises nothing on that measure-zero set.
+    Directions orthogonal to some vertex (min |<vertex, u>| = 0 on the
+    snapped direction) are skipped: the criterion promises nothing on that
+    measure-zero set.
     """
     t0 = time.perf_counter()
     for n in range(2, 15):
@@ -64,7 +65,7 @@ def test_criterion_1_directions_match_the_naive_enumeration():
             assert got.orthogonal_vertex_found == ref.orthogonal_vertex_found
             assert got.min_abs_inner_product == ref.min_abs_inner_product, (n, t)
             assert got.best_vertex.signs.tolist() == ref.best_vertex.signs.tolist()
-            if ref.min_abs_inner_product >= oracle.SKIP_TOL:
+            if ref.min_abs_inner_product > 0.0:
                 assert cs.criterion(u).satisfied == ref.exists_inside, (n, t)
                 checked += 1
     assert checked > 13 * 60

@@ -195,15 +195,17 @@ class TestEstimate:
     def test_seeds_and_indexes_are_ints_in_the_key_range(self):
         # Philox keys are two unsigned 64-bit words: a fractional seed must
         # not draw with its truncation, nor an out-of-range one overflow
+        from cubeshadows.extremal import numerical_max
         from cubeshadows.oracle import agreement_sweep
 
-        for bad in (1.9, 1.0, -1, 2**64, "1", None):
+        for bad in (1.9, 1.5, 1.0, -1, 2**64, "1", None):
             for call in (
                 lambda: sample_sphere(5, bad),
                 lambda: sample_sphere(5, 1, bad),
                 lambda: estimate(5, 4, bad),
                 lambda: growth_scan([3], 4, bad),
                 lambda: agreement_sweep(12, 50, bad),
+                lambda: numerical_max(4, restarts=2, seed=bad),
             ):
                 with pytest.raises(ValueError, match=r"ints in \[0, 2\^64\)"):
                     call()

@@ -267,9 +267,12 @@ class TestPrunedKernel:
                 assert min_abs_inner_product(u) == ref.min_abs_inner_product
 
     def test_pruning_leaves_the_dense_pass_unused(self, monkeypatch):
-        # at n = 20 the inside-only question on the maximizer, which has no
-        # inside vertex, finishes without the beta = inf pass and evaluates
-        # few of the 2^20 pairs; a criterion-holding direction evaluates none
+        # the inside-only question evaluates no pair at all: not on the
+        # maximizer at n = 20, which has no inside vertex, nor where the
+        # sign-matched vertex is inside, nor where a vertex orthogonal to u
+        # is (6, 2 x 6, 1 x 4: product 2.0625); enumerate_shadows of a
+        # criterion-holding direction evaluates none, and of a failing one
+        # never runs the beta = inf pass
         blocks, pairs = oracle._blocks, []
 
         def pruned_only(tables, beta=np.inf):
@@ -279,15 +282,20 @@ class TestPrunedKernel:
                 pairs.append(chunk[1].size)
                 yield chunk
 
-        u = sample_sphere(20, 5)
-        assert criterion(u).satisfied
-        ref = enumerate_shadows_naive(u)
-        monkeypatch.setattr(oracle, "_blocks", pruned_only)
+        def searched(*_):
+            raise AssertionError("search")
+
+        u, v = sample_sphere(20, 5), sample_sphere(20, 1)
+        assert criterion(u).satisfied and not criterion(v).satisfied
+        refs = [enumerate_shadows_naive(x) for x in (u, v)]
+        monkeypatch.setattr(oracle, "_blocks", searched)
         assert not any_vertex_inside(maximizer(20))
+        assert any_vertex_inside(u) and any_vertex_inside(u_of(6, *[2] * 6, *[1] * 4))
+        monkeypatch.setattr(oracle, "_blocks", pruned_only)
+        assert verdicts_equal(enumerate_shadows(u), refs[0])
+        assert pairs == []
+        assert verdicts_equal(enumerate_shadows(v), refs[1])
         assert 0 < sum(pairs) < (1 << 20) // 64
-        searched = sum(pairs)
-        assert verdicts_equal(enumerate_shadows(u), ref)
-        assert sum(pairs) == searched
 
     def test_windows_hold_every_pair_at_or_below_the_bound(self):
         # bounds equal to pair norms put pairs exactly on a window's edge
@@ -305,8 +313,8 @@ class TestPrunedKernel:
     def test_sorted_key_searches_give_the_unsorted_windows_and_bounds(
         self, monkeypatch
     ):
-        # _windows at the bound, at the inside threshold and at a spread of
-        # pair norms, and _bound itself, against plain np.searchsorted
+        # _windows at the bound and at a spread of pair norms, and _bound
+        # itself, against plain np.searchsorted
         def plain(sb, keys, side="left"):
             return np.searchsorted(sb, keys, side)
 
@@ -315,7 +323,7 @@ class TestPrunedKernel:
         for u in cases:
             uq = _snap(u.coords[None])
             tables, _ = oracle._distinct_tables(uq, 20)
-            betas = [1.0 + oracle.INSIDE_TOL, 0.0, 1.0, 1.5, 3.0]
+            betas = [0.0, 1.0, 1.5, 3.0]
             seen = []
             for search in searches:
                 monkeypatch.setattr(oracle, "_search", search)
@@ -404,24 +412,32 @@ class TestDistinctRows:
 
     def test_the_maximizer_up_to_the_ceiling_matches_its_sign_classes(self):
         # a vertex of maximizer(n) is the sign e of the large coordinate and
-        # the count p of +1 among the n - 1 equal ones: s exact in integer
+        # the count p of +1 among the n - 1 equal ones: S exact in integer
         # units of 2^-48, the norm by the kernel's float formula, and the
-        # smallest code of a class is e then p leading +1s. At n = 36 the
-        # two weights have the ratio 7, so some vertex is orthogonal to u
-        for n in (28, 32, 36):
+        # smallest code of a class is e then p leading +1s; a class is
+        # inside when 0 <= S T <= 2^97 for each of its integer T. At n = 16,
+        # 25 and 36 the two weights have the ratios 5, 6 and 7, so some
+        # vertex is orthogonal to u in reals, but no snapped sum is 0
+        one = 1 << 2 * oracle.QUANT_BITS
+        for n in (16, 25, 28, 32, 36):
             u = maximizer(n)
             uq = _snap(u.coords)
             a, b = (int(x) for x in np.ldexp(uq[:2], oracle.QUANT_BITS))
             assert (uq[1:] == uq[1]).all()
-            best, min_abs = (math.inf, 0), math.inf
+            best, min_abs, inside = (math.inf, 0), math.inf, False
             for e in (1, -1):
                 for p in range(n):
-                    s = math.ldexp(e * a + (2 * p - (n - 1)) * b, -oracle.QUANT_BITS)
+                    big = e * a + (2 * p - (n - 1)) * b
+                    s = math.ldexp(big, -oracle.QUANT_BITS)
                     ts = [e * uq[0]] + [uq[1]] * (p > 0) + [-uq[1]] * (p < n - 1)
                     norm = max(abs(1.0 - s * t) for t in (max(ts), min(ts)))
                     code = (e < 0) << (n - 1) | ((1 << (n - 1 - p)) - 1)
                     best = min(best, (norm, code))
                     min_abs = min(min_abs, abs(s))
+                    units = [e * a] + [b] * (p > 0) + [-b] * (p < n - 1)
+                    inside = inside or all(0 <= big * t <= 2 * one for t in units)
+            assert not inside and 0.0 < min_abs, n
+            assert (min_abs < 1e-14) == (math.isqrt(n) ** 2 == n), n
             v = enumerate_shadows(u, n_limit=oracle.MAX_LIMIT)
             assert v.best_inf_norm == best[0], n
             assert v.best_vertex.signs.tolist() == (
@@ -429,7 +445,9 @@ class TestDistinctRows:
             )
             assert v.min_abs_inner_product == min_abs
             assert abs(shadow(u, v.best_vertex).inf_norm - v.best_inf_norm) <= 1e-11
-            assert v.orthogonal_vertex_found == (min_abs <= oracle.ORTHO_TOL)
+            assert not v.exists_inside and not v.orthogonal_vertex_found, n
+            if n <= oracle.DEFAULT_LIMIT:
+                assert not any_vertex_inside(u), n
 
 
 def boundary_family_cases():
@@ -531,6 +549,65 @@ class TestSignLemma:
             assert any_vertex_inside(u) == ref.exists_inside, u.coords
             assert min_abs_inner_product(u) == ref.min_abs_inner_product, u.coords
         assert 0 < below < len(cases)
+
+
+def integer_inside(u):
+    """Whether some vertex of the snapped direction is exactly inside, by
+    Python ints over every vertex: |eps_k 2^96 - S U_k| <= 2^96 for every k,
+    where U is the snapped coordinates times 2^48 and S = <eps, U>."""
+    units = [int(c) for c in np.ldexp(_snap(u.coords), oracle.QUANT_BITS)]
+    one = 1 << 2 * oracle.QUANT_BITS
+    for eps in sign_patterns((1, -1), repeat=u.n):
+        big = sum(e * c for e, c in zip(eps, units))
+        if all(abs(e * one - big * c) <= one for e, c in zip(eps, units)):
+            return True
+    return False
+
+
+class TestExactInsideRule:
+    def test_every_inside_verdict_matches_an_integer_brute_force(self, monkeypatch):
+        # the boundary family, whose snapped products straddle 2; the
+        # maximizers, whose products reach 2 at n = 9; integer ratios in
+        # {-3..3}, with vertices orthogonal to u or nearly so; seeded sphere
+        # points; and (6, 2 x 6, 1 x 4), of norm 8, so exactly orthogonal to
+        # a vertex, at the product 2.0625. Each direction is also the one
+        # draw of a one-trial sweep
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([97, 9500], dtype=np.uint64))
+        )
+        vectors = [u.coords for u in boundary_family_cases()]
+        vectors.append(np.array([6.0] + [2.0] * 6 + [1.0] * 4))
+        for n in range(1, 13):
+            vectors.append(maximizer(n).coords)
+            vectors += [sample_sphere(n, 23, i).coords for i in range(3)]
+            for _ in range(5):
+                v = rng.integers(-3, 4, size=n).astype(np.float64)
+                v[0] = 3.0
+                vectors.append(v)
+        fed, seen = [], Counter()
+        monkeypatch.setattr(measure, "_gaussian", lambda *_: fed[-1])
+        for v in vectors:
+            u = UnitVector(v)
+            want = integer_inside(u)
+            got = enumerate_shadows(u)
+            assert got.exists_inside == want, v
+            assert enumerate_shadows_naive(u).exists_inside == want, v
+            assert any_vertex_inside(u) == want, v
+            fed.append(v)
+            stats = agreement_sweep(u.n, 1, 0)
+            satisfied = criterion(u).satisfied
+            if got.min_abs_inner_product == 0.0:
+                assert want and stats.skips == 1, v
+            else:
+                assert stats.satisfied_count == satisfied, v
+                assert stats.agreements == (satisfied == want), v
+            seen[want, satisfied, got.min_abs_inner_product == 0.0] += 1
+        # inside and not, and the criterion on the other side of 2 from the
+        # snapped direction both ways; inside with the criterion failing by
+        # an orthogonal vertex too
+        assert {(True, True, False), (False, False, False)} <= set(seen)
+        assert {(True, False, True), (False, True, False)} <= set(seen)
+        assert (True, False, False) in seen
 
 
 def stacks_by_dimension(cases):
@@ -720,6 +797,15 @@ class TestDimensionCaps:
         with pytest.raises(DimensionTooLarge):
             enumerate_shadows(maximizer(7), n_limit=6)
 
+    def test_the_inside_query_is_capped_before_its_rule(self):
+        # a heavy first coordinate: the sign-matched vertex is inside, which
+        # the O(n) rule would say above the cap too
+        for n in (oracle.DEFAULT_LIMIT + 1, 40):
+            with pytest.raises(DimensionTooLarge) as exc:
+                any_vertex_inside(u_of(1.0, *[1e-3] * (n - 1)))
+            assert (exc.value.n, exc.value.limit) == (n, oracle.DEFAULT_LIMIT)
+        assert any_vertex_inside(u_of(1.0, *[1e-3] * (oracle.DEFAULT_LIMIT - 1)))
+
     def test_limits_above_the_ceiling_are_rejected(self):
         with pytest.raises(ValueError, match=str(oracle.MAX_LIMIT)):
             enumerate_shadows(u_of(1.0, 2.0), n_limit=oracle.MAX_LIMIT + 1)
@@ -802,7 +888,7 @@ class TestAgreementSweep:
         for t in range(trials):
             u = sample_sphere(n, seed, index=t)
             verdict = enumerate_shadows(u)
-            if verdict.min_abs_inner_product < oracle.SKIP_TOL:
+            if verdict.min_abs_inner_product == 0.0:
                 tally["skips"] += 1
                 continue
             satisfied = criterion(u).satisfied
@@ -835,12 +921,12 @@ class TestAgreementSweep:
                 u = sample_sphere(n, seed, index=t)
                 open_trials += bool(
                     oracle._sign_matched(_snap(u.coords[None]))[0] >= 1.0
-                    and min_abs_inner_product(u) >= oracle.SKIP_TOL
+                    and min_abs_inner_product(u) > 0.0
                 )
         blocks, searched = oracle._blocks, []
 
         def counted(tables, *args):
-            searched.append({x.ndim for half in tables for x in half})
+            searched.append(tables)
             return blocks(tables, *args)
 
         monkeypatch.setattr(oracle, "_blocks", counted)
@@ -848,38 +934,44 @@ class TestAgreementSweep:
             monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
             for case, ref in zip(cases, refs):
                 assert agreement_sweep(*case) == ref, (bits, case)
-        # each trial that the sign lemma leaves open is searched alone, and
-        # the lemma settles the rest
+        # the exact rule decides every kept trial with no search, those that
+        # the sign lemma leaves open (a sign-matched norm of 1 or more) too
         kept = sum(r.agreements + r.disagreements for r in refs)
         assert 0 < open_trials < kept
-        assert searched == [{1}] * (3 * open_trials)  # one direction's tables
+        assert searched == []
 
     def test_skips_match_one_trial_at_a_time(self, monkeypatch):
-        # at n = 14 every trial is skipped, and some would need a search
-        monkeypatch.setattr(oracle, "SKIP_TOL", 0.5)
-        blocks, searched = oracle._blocks, []
+        # every third draw has integer ratios in {-3..3}, its last one 1, 2
+        # or 3: some snap to a direction with a vertex sum of exactly 0, which
+        # is skipped, and others to a min |s| below 1e-14 but not 0, which is
+        # kept and decided by the exact rule, as every trial is, with no search
+        draw = measure._gaussian
 
-        def counted(tables, *args):
-            (sa, *_), (sb, *_) = tables
-            searched.append(np.abs(sa[:, None] + sb).min())
-            return blocks(tables, *args)
+        def integer_ratios(n, seed, index, retry, gen=None):
+            g = draw(n, seed, index, retry, gen)
+            if index % 3:
+                return g
+            v = np.floor(g * 2.0).clip(-3, 3)
+            v[-1] = float(index % 9 // 3 + 1)
+            return v
 
+        monkeypatch.setattr(measure, "_gaussian", integer_ratios)
+        refs = {n: self.reference(n, 40, 11) for n in range(2, 15)}
+        near = sum(
+            0.0 < min_abs_inner_product(sample_sphere(n, 11, t)) < 1e-14
+            for n in refs
+            for t in range(0, 40, 3)
+        )
+        assert near > 0 and 0 < sum(r.skips for r in refs.values()) < 13 * 14
+
+        def searched(*_):
+            raise AssertionError("search")
+
+        monkeypatch.setattr(oracle, "_blocks", searched)
         for bits in (3, 14):
             monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
-            skips = []
-            for n in (*range(1, 7), 14):
-                ref = self.reference(n, 40, 11)
-                monkeypatch.setattr(oracle, "_blocks", counted)
+            for n, ref in refs.items():
                 assert agreement_sweep(n, 40, 11) == ref, (bits, n)
-                monkeypatch.setattr(oracle, "_blocks", blocks)
-                skips.append(ref.skips)
-            assert 0 < sum(skips) < 7 * 40 and skips[-1] == 40
-        assert min(searched, default=np.inf) >= 0.5  # no skipped trial reached it
-        matched = [
-            oracle._sign_matched(_snap(sample_sphere(14, 11, index=t).coords[None]))[0]
-            for t in range(40)
-        ]
-        assert max(matched) >= 1.0
 
     def test_the_sign_lemma_settles_every_trial_below_the_threshold(self, monkeypatch):
         # up to n = 9 every criterion product is at most 2, and in these
