@@ -4,7 +4,7 @@ The direction is first snapped to a dyadic grid with 48 fractional bits,
 which moves each coordinate by at most 2^-49. Every signed sum <eps, u>
 is then a multiple of 2^-48 of size at most sqrt(n) + n 2^-49, below
 6.0001 up to MAX_LIMIT, exact in float64 in any summation order, and its
-key s 2^49 (+ 1) for min |<eps, u>| (_min_abs_sums) is below 2^52, an
+key |s| 2^49 (+ 1) for min |<eps, u>| (_min_abs_sums) is below 2^52, an
 exact int64. (Sums stay exact up to n = 1023 and keys up to n = 255:
 DEFAULT_LIMIT bounds running time and MAX_LIMIT the size of the half
 tables, not exactness.) Every split and the naive reference therefore
@@ -23,6 +23,13 @@ A half table is in turn the same pairing of its two quarters (_table),
 in O(2^(n/2)) time and memory. Partial sums are exact, and max and min
 return an operand, numpy's the second on a tie of +0 and -0, so the
 tables have the bits of one sign matrix per half, zeros' signs included.
+
+min |<eps, u>| needs half of each half's sums. Negating a half's signs
+negates its sum, so the sums SA of A and SB of B are closed under
+negation, and min |a + b| over SA x SB is min ||a| - |b|| over the sums of
+the sign patterns whose leading sign is +1 (_sums), as min(|a + b|,
+|a - b|) = ||a| - |b||: one sort of their keys |a| 2^49 and |b| 2^49 + 1
+(_min_abs_sums).
 
 The kernel, _blocks, takes a bound beta and evaluates, with the same
 formula, only the pairs that can reach a sup-norm <= beta: with B sorted
@@ -75,7 +82,7 @@ from .errors import DimensionTooLarge
 from .geometry import CRITERION_TOL, UnitVector, Vertex
 from .geometry import _criterion_products, _unit_rows
 from .geometry import criterion  # perfbench wraps oracle.criterion
-from .measure import _draws
+from .measure import _check, _draws
 from .measure import sample_sphere  # perfbench wraps oracle.sample_sphere
 
 QUANT_BITS = 48
@@ -136,6 +143,15 @@ def _table(u: np.ndarray, sums_only: bool = False):
     return _pair(_table(u[: k // 2], sums_only), _table(u[k // 2 :], sums_only))
 
 
+def _lead_sums(u: np.ndarray) -> np.ndarray:
+    """The sums of the first half of the rows of _table(u), those whose
+    leading sign is +1, of shape (T, 2^(k-1)), or the one sum 0 if k = 0."""
+    k = len(u)
+    if k <= _LEAF:
+        return (_SIGNS[_LEAF - k :, :, : max(1 << k >> 1, 1)] * u).sum(0)
+    return _pair((_lead_sums(u[: k // 2]),), _table(u[k // 2 :], True))[0]
+
+
 def _pair(lead, trail):
     """The table of every row of lead, the high bits, with every row of
     trail, of the same T directions: outer sums of s, maxima of t_max and
@@ -156,13 +172,15 @@ def _check_limit(n: int, n_limit: int) -> None:
 
 
 def _sums(uq: np.ndarray, n_limit: int):
-    """The sum tables (sa, sb), each (T, 2^k), of A = uq[:, :n//2] and B of
-    T snapped directions uq, shape (T, n); an empty half is the one sum 0."""
+    """The leading-sign halves (sa, sb) of A = uq[:, :n//2] and B of T
+    snapped directions uq, shape (T, n) (_lead_sums): row 2^k - 1 - a of a
+    half's table negates row a, so the other half of the rows tells
+    _min_abs_sums nothing. An empty half is the one sum 0."""
     n = uq.shape[1]
     _check_limit(n, n_limit)
     # coordinate axis first: reducing over it runs on contiguous rows
     u = np.ascontiguousarray(uq.T)[:, :, None]
-    return _table(u[: n // 2], True)[0], _table(u[n // 2 :], True)[0]
+    return _lead_sums(u[: n // 2]), _lead_sums(u[n // 2 :])
 
 
 def _class_table(u: np.ndarray):
@@ -212,13 +230,18 @@ def _distinct_tables(uq: np.ndarray, n_limit: int):
 
 
 def _min_abs_sums(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
-    """min |a + b| over a in sa[i], b in sb[i] of each row i of two stacks
-    of sum tables, exactly, by one sort per row of the int64 keys -a 2^49,
-    low bit 0, and b 2^49 + 1, low bit 1. The pair nearest zero is adjacent
-    in that order, or has an adjacent pair of opposite low bits between
-    them whose gap is no larger: (d + (k & 1)) >> 1 units of 2^-48 for a
-    key difference d after key k. A tie -a == b sorts A first: a gap of 0."""
-    keys = np.ldexp(np.concatenate((-sa, sb), axis=1), QUANT_BITS + 1).astype(np.int64)
+    """min |a + b| over a in +-sa[i], b in +-sb[i] of each row i of two
+    stacks of sum tables, exactly: min ||a| - |b|| over sa[i] x sb[i], as
+    min(|a + b|, |a - b|) = ||a| - |b||. One sort per row of the int64 keys
+    |a| 2^49, low bit 0, and |b| 2^49 + 1, low bit 1, gives it: the nearest
+    pair is adjacent in that order, or has an adjacent pair of opposite low
+    bits between them whose gap is no larger: (d + (k & 1)) >> 1 units of
+    2^-48 for a key difference d after key k. A tie |a| == |b| sorts A
+    first: a gap of 0. Callers pass _sums' halves, whose +- closures are
+    the full halves' sums, or _distinct_tables' sums, closed under
+    negation: this is min |<eps, u>|."""
+    keys = np.concatenate((sa, sb), axis=1)
+    keys = np.ldexp(np.abs(keys, out=keys), QUANT_BITS + 1, out=keys).astype(np.int64)
     keys[:, sa.shape[1] :] |= 1
     keys.sort(axis=1)
     gaps = np.diff(keys, axis=1)
@@ -471,7 +494,8 @@ def any_vertex_inside(u: UnitVector) -> bool:
 
 def min_abs_inner_product(u: UnitVector) -> float:
     """Smallest |<eps, u>| over all sign vectors eps, computed exactly
-    on the snapped direction from one sort of its half sums' keys."""
+    on the snapped direction from one sort of the keys of its leading-sign
+    half sums (_sums, _min_abs_sums)."""
     return float(_min_abs_sums(*_sums(_snap(u.coords[None]), DEFAULT_LIMIT))[0])
 
 
@@ -491,19 +515,21 @@ def agreement_sweep(n: int, trials: int, seed: int) -> AgreementStats:
     Samples uniform points on the sphere, skips those orthogonal to some
     vertex, min |<eps, u>| = 0 (the criterion promises nothing there), and
     counts agreements between the product test and the exact inside
-    verdict. Disagreements are counted, not raised. Trials go in groups of
-    about 2^BLOCK_BITS half sums, drawn through one re-keyed generator
-    (measure._draws) and normalized as stacked rows (geometry._unit_rows)
-    that also give the criterion products. One merged sort of each trial's
-    half sums gives its exact min |s| (_min_abs_sums), and a kept trial is
+    verdict. Disagreements are counted, not raised. The seed is checked
+    even with no trials. Trials go in groups of 2^BLOCK_BITS >> |B|, drawn
+    through one re-keyed generator (measure._draws) and normalized as
+    stacked rows (geometry._unit_rows) that also give the criterion
+    products. One merged sort of each trial's leading-sign half sums gives
+    its exact min |s| (_min_abs_sums), and a kept trial is
     inside exactly when its sign-matched vertex is (_matched_inside): no
     trial is searched, no UnitVector is built, and the tally has the bits
     of sample_sphere(n, seed, t), criterion and enumerate_shadows.
     """
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")
+    _check(n if trials else 1, seed)  # n, like the cap, only with trials
     agreements = skips = disagreements = satisfied_count = 0
-    # groups of about 2^BLOCK_BITS half sums; n < 1: _draws rejects it
+    # groups of 2^BLOCK_BITS >> |B| trials; n < 1 only with no trials
     group = max(1, (1 << BLOCK_BITS) >> max(n - n // 2, 0))
     draws = _draws(n, seed, range(trials))
     for _ in range(0, trials, group):

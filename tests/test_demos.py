@@ -10,7 +10,8 @@ import cubeshadows
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 SRC = str(Path(cubeshadows.__file__).resolve().parents[1])
 
-# demo -> lines its output must hold; only timings are left out
+# demo -> lines its output must hold; timings and the last digits of demo
+# 03's ascent are left out, and demo 04, about 4 s of sampling, is not run
 VERDICTS = {
     "01_criterion_walkthrough.py": [
         "criterion says satisfied = True",
@@ -22,6 +23,10 @@ VERDICTS = {
         "satisfied: False",
         "checked all 1024 vertices:",
         "  exists_inside = False",
+    ],
+    "03_extremal_directions.py": [
+        "product at the analytic point: 2.08113883008419",
+        "heavy coordinate a = 0.81124219, light coordinates b = 0.19490343",
     ],
     "05_oracle_vs_criterion.py": [
         "  4      400          400       0               0",

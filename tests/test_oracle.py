@@ -209,11 +209,14 @@ class TestHalfTables:
     def test_tables_have_the_bytes_of_the_sign_matrix(self):
         # n = 1 has an empty A half; halves of 7 and 8 coordinates sit on
         # either side of the leaf width; the -0.0 and zero coordinates
-        # make +-0 in t, and bytes tell +0 from -0
+        # make +-0 in t, and bytes tell +0 from -0, also in halves of one
+        # coordinate, whose leading-sign half is the one row t = u
+        # (sums start from +0, as numpy's do, so no sum is -0)
         rng = np.random.Generator(
             np.random.Philox(key=np.array([97, 8000], dtype=np.uint64))
         )
-        cases = []
+        signed_zeros = (u_of(-0.0, 1.0), u_of(1.0, -0.0), u_of(-0.0, 1.0, -2.0))
+        cases = [(_snap(u.coords[None]), 3) for u in signed_zeros]
         for n in [1, *range(14, 29), 32, 36]:
             v = rng.integers(-3, 4, size=n).astype(np.float64)
             v[-1] = -0.0
@@ -227,8 +230,14 @@ class TestHalfTables:
         for uq, limit in cases:
             want = reference_tables(uq)
             for half, s, ref in zip(full_tables(uq), oracle._sums(uq, limit), want):
-                for x, y in zip((*half, s), (*ref, ref[0])):
+                for x, y in zip(half, ref):
                     assert x.shape == y.shape and x.tobytes() == y.tobytes(), uq.shape
+                # _sums holds the rows whose leading sign is +1, the first
+                # half, and the rest are their negations in reverse order
+                k = ref[0].shape[1].bit_length() - 1
+                lead, rest = np.split(ref[0], [max(1 << k >> 1, 1)], axis=1)
+                assert s.shape == lead.shape and s.tobytes() == lead.tobytes(), uq.shape
+                assert np.array_equal(rest, -lead[:, ::-1]) or k == 0, uq.shape
 
     def test_the_ceiling_fits_in_a_few_tables(self):
         # the three tables of a half of 18 coordinates take 6 MiB, where
@@ -243,6 +252,19 @@ class TestHalfTables:
             finally:
                 tracemalloc.stop()
             assert peak < 64 << 20, (u.coords[:2], peak)
+
+    def test_min_abs_at_the_ceiling_sorts_only_the_leading_sign_halves(self):
+        # sample_sphere(36, 7) is decided by its sign-matched vertex, so its
+        # peak is min |<eps, u>|'s: 2^17 sums per half and their 2^18 keys,
+        # 6.25 MiB; the full halves' 2^19 keys and sums took 12.5 MiB
+        u = sample_sphere(36, 7)
+        tracemalloc.start()
+        try:
+            enumerate_shadows(u, oracle.MAX_LIMIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20, peak
 
 
 class TestPrunedKernel:
@@ -618,8 +640,15 @@ def stacks_by_dimension(cases):
     return [np.stack(r) for r in rows.values()]
 
 
+def closure(s):
+    """The sums s of each row and their negations: (T, 2 m) from (T, m)."""
+    return np.concatenate((s, -s), axis=-1)
+
+
 class TestStackedRows:
     def test_merged_sums_give_each_row_its_exact_minimum(self):
+        # _min_abs_sums(sa, sb) is min |a + b| over the +- closures of the
+        # leading-sign halves, which are the full halves' sums
         # n = 1 has an empty A half (the one sum 0); zeros, -0.0 and integer
         # ratios give sums of exactly 0, as does (1, 1, 2) with (1, 1, -1)
         # (10, 1, 1) puts -a below and above every sum of B, so _nearest's
@@ -631,15 +660,16 @@ class TestStackedRows:
         for uq in stacks_by_dimension(cases):
             sa, sb = oracle._sums(uq, 14)
             got = oracle._min_abs_sums(sa, sb)
+            fa, fb = closure(sa), closure(sb)
             nearest = []
-            for a, b in zip(sa, np.sort(sb)):
+            for a, b in zip(fa, np.sort(fb)):
                 nearest.append(float(np.abs(a + b[oracle._nearest(a, b)]).min()))
-            brute = np.abs(sa[:, :, None] + sb[:, None]).min((1, 2))
+            brute = np.abs(fa[:, :, None] + fb[:, None]).min((1, 2))
             assert got.tolist() == nearest == brute.tolist(), uq
             assert not np.signbit(got).any()
             zeros += int((got == 0.0).sum())
         assert zeros > 0
-        sa, sb = oracle._sums(_snap(heavy.coords[None]), 3)
+        sa, sb = (closure(s) for s in oracle._sums(_snap(heavy.coords[None]), 3))
         sb = np.sort(sb[0])
         found = np.searchsorted(sb, -sa[0])
         assert found.min() == 0 and found.max() == len(sb)
@@ -660,25 +690,33 @@ class TestStackedRows:
         for u in (u_of(0.6), u_of(0.6, -0.8), u_of(1.0, 1.0, 2.0), one_unit):
             sa, sb = oracle._sums(_snap(u.coords[None]), 3)
             exact = math.ldexp(integer_min_abs_sum(u), -oracle.QUANT_BITS)
-            brute = float(np.abs(sa[:, :, None] + sb[:, None]).min())
+            fa, fb = closure(sa), closure(sb)
+            brute = float(np.abs(fa[:, :, None] + fb[:, None]).min())
             assert oracle._min_abs_sums(sa, sb).tolist() == [brute] == [exact]
         assert min_abs_inner_product(one_unit) == unit
+        # every dimension up to the sweep's, odd ones included
+        for n in range(1, 15):
+            ramp = UnitVector(np.arange(1.0, n + 1))  # integer ratios: often 0
+            for u in (sample_sphere(n, 31), maximizer(n), ramp):
+                exact = math.ldexp(integer_min_abs_sum(u), -oracle.QUANT_BITS)
+                assert min_abs_inner_product(u) == exact, u.coords
         # the all-equal direction at the ceiling: |s| reaches 6, min |s| = 0
         uq = _snap(np.full((1, oracle.MAX_LIMIT), oracle.MAX_LIMIT**-0.5))
         sa, sb = oracle._sums(uq, oracle.MAX_LIMIT)
         assert np.abs(sa).max() + np.abs(sb).max() >= 6.0 - oracle.MAX_LIMIT * unit
-        b = np.sort(sb[0])
-        nearest = float(np.abs(sa[0] + b[oracle._nearest(sa[0], b)]).min())
+        a, b = closure(sa[0]), np.sort(closure(sb[0]))
+        nearest = float(np.abs(a + b[oracle._nearest(a, b)]).min())
         assert oracle._min_abs_sums(sa, sb).tolist() == [nearest] == [0.0]
         # sums of both signs up to +-6 whose nearest pairs lie 0 to 2 units
-        # apart, b above or below -a, and rows of the extreme sums alone
+        # apart, |b| above or below |a|, and rows of the extreme sums alone
         rng = np.random.default_rng(29)
         edge = 6 << oracle.QUANT_BITS
         ia = rng.integers(-edge, edge + 1, (40, 9))
         ib = np.clip(rng.integers(-2, 3, (40, 9)) - np.roll(ia, 1, axis=1), -edge, edge)
         ia[:4] = np.array([edge, -edge, edge - 1, -edge])[:, None]
         ib[:4] = np.array([1 - edge, edge, -edge, edge - 3])[:, None]
-        want = [min(abs(a + b) for a in x for b in y) for x, y in zip(ia, ib)]
+        # min over the +- closures of both rows: |-a - b| = |a + b|
+        want = [min(abs(a + b) for a in x for b in (*y, *-y)) for x, y in zip(ia, ib)]
         assert want[:4] == [1, 0, 1, 3] and {0, 1} <= set(want[4:])
         sums = (np.ldexp(x.astype(np.float64), -oracle.QUANT_BITS) for x in (ia, ib))
         got = oracle._min_abs_sums(*sums)
@@ -1019,6 +1057,11 @@ class TestAgreementSweep:
     def test_negative_trials_are_rejected(self):
         with pytest.raises(ValueError, match="trials"):
             agreement_sweep(3, -2, 0)
+
+    def test_seed_is_checked_even_with_no_trials(self):
+        for seed in (1.5, -1, 1 << 64):
+            with pytest.raises(ValueError, match="seed"):
+                agreement_sweep(5, 0, seed)
 
     def test_cap_applies_only_when_there_are_trials(self):
         with pytest.raises(DimensionTooLarge):
