@@ -22,7 +22,6 @@ from .errors import DimensionMismatch
 # is zero" from "coordinate is merely small", which matters because zero
 # coordinates pin the projected entry at exactly +-1.
 ZERO_TOL = 1e-13
-CRITERION_TOL = 0.0
 INSIDE_TOL = 1e-12
 
 
@@ -221,7 +220,7 @@ def shadow_norm_closed_form(u: UnitVector) -> float:
     return best
 
 
-def criterion(u: UnitVector, criterion_tol: float = CRITERION_TOL) -> CriterionResult:
+def criterion(u: UnitVector, criterion_tol: float = 0.0) -> CriterionResult:
     """Decide whether some vertex of the cube projects into the section.
 
     For directions not orthogonal to any vertex, the product

@@ -2,12 +2,12 @@
 
 Sampling uses one Philox stream per sample, keyed by (seed, sample
 index), so results are bit-identical no matter how the work is chunked
-or ordered. Philox is counter-based, so a loop over samples (_draws, for
-estimate and for the oracle's agreement_sweep) builds one generator and
-re-keys it to each stream, which draws the bits of a fresh generator at a
-third of the cost; sample_sphere, one draw, builds a keyed generator. The
-criterion product is scale invariant, so statistics are computed on raw
-Gaussian vectors without normalizing each one.
+or ordered. Philox is counter-based: a draw is fixed by its key and
+counter alone, so every draw (_draws, for sample_sphere, estimate and
+the oracle's agreement_sweep) goes through one generator re-keyed to
+each stream, which gives the bits of a fresh one at a third of the cost.
+The criterion product is scale invariant, so statistics are computed on
+raw Gaussian vectors without normalizing each one.
 """
 
 from __future__ import annotations
@@ -42,24 +42,19 @@ class MeasureEstimate:
     growth_ratio: Optional[float]
 
 
-def _gaussian(n: int, seed: int, index: int, retry: int, gen=None) -> np.ndarray:
-    """Draw number retry of stream (seed, index): Philox with key (seed,
-    index) and counter (retry, 0, 0, 0). A given generator is re-keyed to
-    that state, which gives the bits of a new one at a fraction of the cost."""
-    if gen is None:
-        key = np.array([seed, index], dtype=np.uint64)
-        counter = np.array([retry, 0, 0, 0], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
-    else:  # an empty buffer (buffer_pos 4): the next draw advances the counter
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (retry, 0, 0, 0), "key": (seed, index)},
-            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
+def _gaussian(n: int, seed: int, index: int, retry: int, gen) -> np.ndarray:
+    """Draw number retry of stream (seed, index): gen re-keyed to Philox key
+    (seed, index) and counter (retry, 0, 0, 0) with an empty buffer
+    (buffer_pos 4), so the draw advances the counter as a new generator's."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (retry, 0, 0, 0), "key": (seed, index)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
     return gen.standard_normal(n)
 
 
-def _gaussian_nonzero(n: int, seed: int, index: int, gen=None) -> np.ndarray:
+def _gaussian_nonzero(n: int, seed: int, index: int, gen) -> np.ndarray:
     for retry in range(MAX_RETRIES):
         g = _gaussian(n, seed, index, retry, gen)
         if math.sqrt(g.dot(g)) >= MIN_GAUSS_NORM:  # np.linalg.norm(g), bit for bit
@@ -80,11 +75,11 @@ def _check(n: int, *keys: int) -> None:
 
 def _draws(n: int, seed: int, indexes: Iterable[int]) -> Iterator[np.ndarray]:
     """_gaussian_nonzero(n, seed, i) for each i, through one generator
-    re-keyed for every draw; n and seed are checked before anything is drawn."""
+    re-keyed for every draw; n and seed are checked at the call, before
+    anything is drawn."""
     _check(n, seed)
     gen = np.random.Generator(np.random.Philox(0))
-    for i in indexes:
-        yield _gaussian_nonzero(n, seed, i, gen)
+    return (_gaussian_nonzero(n, seed, i, gen) for i in indexes)
 
 
 def sample_sphere(n: int, seed: int, index: int = 0) -> UnitVector:
@@ -95,7 +90,7 @@ def sample_sphere(n: int, seed: int, index: int = 0) -> UnitVector:
     state is shared between samples.
     """
     _check(n, seed, index)
-    return UnitVector(_gaussian_nonzero(n, seed, index))
+    return UnitVector(next(_draws(n, seed, (index,))))
 
 
 def criterion_product_raw(g: np.ndarray) -> float:

@@ -1,73 +1,68 @@
 """Exhaustive ground truth over all 2^n cube vertices.
 
-The direction is first snapped to a dyadic grid with 48 fractional bits,
-which moves each coordinate by at most 2^-49. Every signed sum <eps, u>
-is then a multiple of 2^-48 of size at most sqrt(n) + n 2^-49, below
-6.0001 up to MAX_LIMIT, exact in float64 in any summation order, and its
-key |s| 2^49 (+ 1) for min |<eps, u>| (_min_abs_sums) is below 2^52, an
-exact int64. (Sums stay exact up to n = 1023 and keys up to n = 255:
-DEFAULT_LIMIT bounds running time and MAX_LIMIT the size of the half
-tables, not exactness.) Every split and the naive reference therefore
-give bit-identical verdicts.
+Exactness: the direction is first snapped to a dyadic grid with 48
+fractional bits, which moves each coordinate by at most 2^-49. Every
+signed sum <eps, u> is then a multiple of 2^-48 of size at most sqrt(n) +
+n 2^-49, below 6.0001 up to MAX_LIMIT, exact in float64 in any summation
+order. (Sums stay exact up to n = 1023 and the keys of min |<eps, u>| up
+to n = 255: DEFAULT_LIMIT bounds running time and MAX_LIMIT the size of
+the half tables, not exactness.) Every split and the naive reference
+therefore give bit-identical verdicts.
 
-The enumeration meets in the middle (Horowitz and Sahni, JACM 1974). With
-t_k = eps_k u_k and s = sum t_k, |eps_k - s u_k| = |1 - s t_k|, and
-t -> fl(1 - fl(s t)) is monotone, so the shadow sup-norm is attained at
-max t_k or min t_k, bit for bit. Each half, A = u[:n//2] and B =
-u[n//2:], tabulates (s, t_max, t_min) over its sign patterns, and a
-vertex is a pair of rows, combined with O(1) work. Rows are in
+Tables: the enumeration meets in the middle (Horowitz and Sahni, JACM
+1974). With t_k = eps_k u_k and s = sum t_k, |eps_k - s u_k| = |1 - s t_k|,
+and t -> fl(1 - fl(s t)) is monotone, so the shadow sup-norm is attained
+at max t_k or min t_k, bit for bit. Each half, A = u[:n//2] and B =
+u[n//2:], tabulates (s, t_max, t_min) over its sign patterns as the same
+pairing of its two quarters (_table), and a vertex is a pair of rows,
+combined with O(1) work. Partial sums are exact, and max and min return an
+operand, numpy's the second on a tie of +0 and -0, so the tables have the
+bits of one sign matrix per half, zeros' signs included. Rows are in
 lexicographic order (+1 before -1), so pair (a, b) has code a 2^|B| + b,
 the tie rule's order.
 
-A half table is in turn the same pairing of its two quarters (_table),
-in O(2^(n/2)) time and memory. Partial sums are exact, and max and min
-return an operand, numpy's the second on a tie of +0 and -0, so the
-tables have the bits of one sign matrix per half, zeros' signs included.
+Halving: row 2^k - 1 - a of a half negates row a and its sum, so the sums
+of A and of B are closed under negation, and min |<eps, u>|, min |a + b|
+over their pairs, is min ||a| - |b|| over the sums of the rows whose
+leading sign is +1 (_sums), as min(|a + b|, |a - b|) = ||a| - |b||. Their
+int64 keys |a| 2^49, low bit 0, and |b| 2^49 + 1, low bit 1, are exact
+below 2^52. After one sort (_min_abs_sums), the nearest pair is adjacent,
+or has an adjacent pair of opposite low bits between them whose gap is no
+larger: (d + (k & 1)) >> 1 units of 2^-48 for a key difference d after
+key k. A tie |a| == |b| sorts A first: a gap of 0.
 
-min |<eps, u>| needs half of each half's sums. Negating a half's signs
-negates its sum, so the sums SA of A and SB of B are closed under
-negation, and min |a + b| over SA x SB is min ||a| - |b|| over the sums of
-the sign patterns whose leading sign is +1 (_sums), as min(|a + b|,
-|a - b|) = ||a| - |b||: one sort of their keys |a| 2^49 and |b| 2^49 + 1
-(_min_abs_sums).
-
-The kernel, _blocks, takes a bound beta and evaluates, with the same
-formula, only the pairs that can reach a sup-norm <= beta: with B sorted
-by s, the t_max and t_min of an A-row confine it to a window of B-rows,
-found by binary search (_windows, the sorted-list trick of the same
-paper) and widened so that no pair at or below beta is dropped. The
-minimum and all its ties survive whenever some vertex reaches beta.
-beta = inf is the dense pass. enumerate_shadows' beta is the smallest
-norm of each A-row with the B-rows whose sums bring s nearest 0 (_bound).
-
-Only the sign-matched vertex eps = sign(u), and its negation, which ties
-it bit for bit, can have a sup-norm below 1. Any other vertex has a t
-that is zero, or t of both signs, so some t has fl(s t) <= 0, and
+Sign lemma: only the sign-matched vertex eps = sign(u), and its negation,
+which ties it bit for bit, can have a sup-norm below 1. Any other vertex
+has a t that is zero, or t of both signs, so some t has fl(s t) <= 0, and
 |1 - s t| >= 1 bit for bit. Where that vertex's norm (_sign_matched) is
 below 1 (roughly, the criterion product below 2), it is the best norm,
-and every verdict takes that vertex, +1 first, with no search. A search
-therefore only ever takes a bound of 1 or more.
+and every verdict takes that vertex, +1 first, with no search.
 
-The search builds each half table with only one row per distinct
-multiset of t (_class_table). Exact sums give equal multisets
-bit-identical (s, t_max, t_min), up to the sign of a zero that no norm
-or sum sees; each row carries the smallest row of the full half with its
-multiset, and as a code is a 2^|B| + b, the smallest code among tied
-class pairs is that of their smallest rows: the tie rule holds.
-maximizer(n) has about n rows per half instead of 2^(n/2). Tables of at
-most 2^BLOCK_BITS pairs, as for maximizer(n) up to MAX_LIMIT and any
-direction up to n = 14, fill one dense chunk, with no bound or window.
+Search: otherwise the kernel, _blocks, evaluates with the same formula
+only the pairs that can reach a sup-norm <= beta (_windows): inf, the
+dense pass, when every pair fits in one chunk of 2^BLOCK_BITS, else a
+bound of 1 or more at or above the best norm (_bound), so the minimum and
+all its ties survive. A chunk's tied vertices yield their smallest code,
+and a later chunk replaces it only with a smaller norm or code, so any
+chunk size gives the same verdict.
 
-Every inside flag is exact, on the snapped direction: write U = uq 2^48,
-integers. Some vertex has an exact shadow sup-norm <= 1 exactly when
-min |<eps, U>| = 0 or ||U||_1 ||U||_inf <= 2^97. Proof: take S = <eps, U>.
-If S = 0, the shadow of eps is eps, of norm 1. If S > 0 (else negate
-eps), |1 - s t_k| <= 1 means 0 <= s t_k <= 2, so no t_k is negative: eps
-is sign(u) off the zero coordinates, S = ||U||_1, and the norm is <= 1
-exactly when S max |U_k| <= 2^97 (_matched_inside). No tolerance
-decides a flag, and no flag needs a search. best_inf_norm, the kernel's
-float, is below 1 only if some vertex is inside and above 1 only if none
-is, but may round to 1 either way.
+Classes: the search builds each half table with only one row per
+distinct multiset of t (_class_table). Exact sums give equal multisets
+bit-identical (s, t_max, t_min), up to the sign of a zero that no norm or
+sum sees; each row carries the smallest row of the full half with its
+multiset, and as a code is a 2^|B| + b, the smallest code among tied class
+pairs is that of their smallest rows: the tie rule holds. maximizer(n)
+has about n rows per half instead of 2^(n/2).
+
+Exact rule: write U = uq 2^48, integers. Some vertex has an exact shadow
+sup-norm <= 1 exactly when min |<eps, U>| = 0 or ||U||_1 ||U||_inf <=
+2^97. Proof: take S = <eps, U>. If S = 0, the shadow of eps is eps, of
+norm 1. If S > 0 (else negate eps), |1 - s t_k| <= 1 means 0 <= s t_k <=
+2, so no t_k is negative: eps is sign(u) off the zero coordinates, S =
+||U||_1, and the norm is <= 1 exactly when S max |U_k| <= 2^97
+(_matched_inside). No tolerance decides a flag, and no flag needs a
+search. best_inf_norm, the kernel's float, is below 1 only if some vertex
+is inside and above 1 only if none is, but may round to 1 either way.
 """
 
 from __future__ import annotations
@@ -79,10 +74,10 @@ from itertools import accumulate, islice
 import numpy as np
 
 from .errors import DimensionTooLarge
-from .geometry import CRITERION_TOL, UnitVector, Vertex
+from .geometry import UnitVector, Vertex
 from .geometry import _criterion_products, _unit_rows
 from .geometry import criterion  # perfbench wraps oracle.criterion
-from .measure import _check, _draws
+from .measure import _draws
 from .measure import sample_sphere  # perfbench wraps oracle.sample_sphere
 
 QUANT_BITS = 48
@@ -172,10 +167,8 @@ def _check_limit(n: int, n_limit: int) -> None:
 
 
 def _sums(uq: np.ndarray, n_limit: int):
-    """The leading-sign halves (sa, sb) of A = uq[:, :n//2] and B of T
-    snapped directions uq, shape (T, n) (_lead_sums): row 2^k - 1 - a of a
-    half's table negates row a, so the other half of the rows tells
-    _min_abs_sums nothing. An empty half is the one sum 0."""
+    """The leading-sign sums (_lead_sums) of A = uq[:, :n//2] and of B, for
+    T snapped directions uq, shape (T, n). An empty half is the one sum 0."""
     n = uq.shape[1]
     _check_limit(n, n_limit)
     # coordinate axis first: reducing over it runs on contiguous rows
@@ -188,15 +181,13 @@ def _class_table(u: np.ndarray):
     direction: one row per distinct multiset of t = eps u, and row the
     smallest row of the full half table (_table) with that multiset.
 
-    The coordinates of one magnitude m > 0 form a class, c of them: P,
-    those with u > 0, and N, in coordinate order. Its multisets are the
-    counts p = 0..c of positive t, with s = (2p - c) m, exact, t_max = m
-    (-m if p = 0) and t_min = -m (m if p = c). The smallest row with p
-    positive t negates the last |P| - p coordinates of P if p <= |P|, else
-    the last p - |P| of N. Zero coordinates together are one row, t = 0.
-    Classes have disjoint bits, so their tables pair like quarters (_pair).
-    A half whose magnitudes are nonzero and distinct keeps every row, and
-    the plain build."""
+    The c coordinates of one magnitude m > 0 form a class: P, those with
+    u > 0, and N, in coordinate order. Its multisets are the counts p =
+    0..c of positive t: s = (2p - c) m, exact, t_max = m (-m if p = 0),
+    t_min = -m (m if p = c), and the smallest row negates the last |P| - p
+    of P if p <= |P|, else the last p - |P| of N. Zeros together are one
+    row, t = 0. Classes have disjoint bits and pair like quarters (_pair);
+    a half of nonzero, distinct magnitudes is the plain build."""
     k, classes = len(u), {}
     for j, x in enumerate(u.tolist()):
         signs = classes.setdefault(abs(x), ([], []))
@@ -230,16 +221,9 @@ def _distinct_tables(uq: np.ndarray, n_limit: int):
 
 
 def _min_abs_sums(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
-    """min |a + b| over a in +-sa[i], b in +-sb[i] of each row i of two
-    stacks of sum tables, exactly: min ||a| - |b|| over sa[i] x sb[i], as
-    min(|a + b|, |a - b|) = ||a| - |b||. One sort per row of the int64 keys
-    |a| 2^49, low bit 0, and |b| 2^49 + 1, low bit 1, gives it: the nearest
-    pair is adjacent in that order, or has an adjacent pair of opposite low
-    bits between them whose gap is no larger: (d + (k & 1)) >> 1 units of
-    2^-48 for a key difference d after key k. A tie |a| == |b| sorts A
-    first: a gap of 0. Callers pass _sums' halves, whose +- closures are
-    the full halves' sums, or _distinct_tables' sums, closed under
-    negation: this is min |<eps, u>|."""
+    """min ||a| - |b|| over sa[i] x sb[i] for each row i of two stacks of
+    sums, exactly, from one sort of their keys (the module's Halving): min
+    |<eps, u>| for _sums' halves, or for _distinct_tables' sums."""
     keys = np.concatenate((sa, sb), axis=1)
     keys = np.ldexp(np.abs(keys, out=keys), QUANT_BITS + 1, out=keys).astype(np.int64)
     keys[:, sa.shape[1] :] |= 1
@@ -296,7 +280,8 @@ def _bound(tables, matched: float) -> float:
 
 def _windows(tables, beta):
     """The range [start, stop) of B-rows, in order of s, that each A-row of
-    one direction can pair with to reach a shadow sup-norm <= beta.
+    one direction can pair with to reach a shadow sup-norm <= beta, found
+    by binary search (the sorted-list trick of Horowitz and Sahni).
 
     The sup-norm of a vertex is at least |1 - s t| for each of its own t_k,
     bit for bit, hence for t = t_max and t = t_min of its A-row. So s t lies
@@ -305,9 +290,7 @@ def _windows(tables, beta):
     involved, which covers the roundings of |1 - s t|, of its ends and of
     the shift: the filter drops no pair whose norm is <= beta. A t of zero
     (or +-inf, the empty half) bounds nothing unless it excludes everything.
-    A row whose interval is empty or misses the sums of B gets start >=
-    stop; for the bounds of 1 or more that the oracle takes, every interval
-    holds s = 0.
+    A row whose interval is empty or misses the sums of B gets start >= stop.
     """
     (sa, hia, loa), (sb, _, _) = tables
     b = beta + (1.0 + beta) * _SLACK
@@ -356,14 +339,13 @@ def _blocks(tables, beta=np.inf):
     """Yields ((A-rows, B-slab), shadow sup-norms of shape (A-rows, B-slab))
     for chunks of about 2^BLOCK_BITS vertices of one direction that hold
     every vertex whose sup-norm is <= beta. A-rows number rows of A and the
-    B-slab is a slice of B, in the tables as given. With beta = inf, or
-    pairs that fit in one chunk, the pass is dense: the runs of A-rows have
-    equal lengths, come in order and pair with all of B. Otherwise B is in
-    order of s (_distinct_tables), and each run pairs with the slab that
-    its rows' windows span."""
+    B-slab is a slice of B, in the tables as given. With beta = inf the pass
+    is dense: runs of A-rows of equal length, in order, each with all of B.
+    Otherwise B is in order of s (_distinct_tables), and each run pairs
+    with the slab that its rows' windows span."""
     (sa, hia, loa), (sb, hib, lob) = tables
     cap = 1 << BLOCK_BITS
-    if beta == np.inf or len(sa) * len(sb) <= cap:  # or one chunk holds every pair
+    if beta == np.inf:
         rows, step = np.arange(len(sa)), max(1, cap // len(sb))
         runs = [(i, i + step, 0, len(sb)) for i in range(0, len(rows), step)]
     else:
@@ -403,20 +385,11 @@ def _verdict(inside, best_inf, best_vertex: Vertex, min_abs_ip) -> OracleVerdict
 
 
 def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerdict:
-    """Report the best shadow over all 2^n vertices.
-
-    Where the sign-matched vertex's norm is below 1, that vertex, +1 first,
-    is the verdict with no search (the sign lemma of the module docstring).
-    Otherwise the kernel pairs the rows of distinct multisets of t in each
-    half, all of them or those that can reach a bound of 1 or more (_bound).
-    Every vertex left out has a norm above the bound or that of a kept pair
-    of smaller code, so the verdict covers all 2^n vertices
-    (vertices_checked), bit for bit the dense pass's. Ties in the minimal
-    sup-norm go to the lexicographically smallest sign pattern (+1 sorts
-    before -1): a chunk's tied vertices yield their smallest code, and a
-    later chunk replaces it only with a smaller norm or code, so any chunk
-    size gives the same verdict. n_limit may not exceed MAX_LIMIT.
-    """
+    """Report the best shadow over all 2^n vertices (vertices_checked), bit
+    for bit the naive reference's, by the algorithm of the module docstring.
+    Ties in the minimal sup-norm go to the lexicographically smallest sign
+    pattern (+1 sorts before -1), at any BLOCK_BITS. n_limit may not exceed
+    MAX_LIMIT."""
     uq = _snap(u.coords[None])
     matched = float(_sign_matched(uq)[0])
     if matched < 1.0:  # no zero coordinate: sign(uq) is a vertex, and inside
@@ -424,8 +397,8 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
         return _verdict(True, matched, best, _min_abs_sums(*_sums(uq, n_limit))[0])
     tables, (ia, ib) = _distinct_tables(uq, n_limit)
     (sa, _, _), (sb, _, _) = tables
-    fits = len(sa) * len(sb) <= 1 << BLOCK_BITS  # one dense chunk of _blocks
-    beta = np.inf if fits else _bound(tables, matched)
+    # the dense pass (beta = inf) where every pair fits in one chunk of _blocks
+    beta = np.inf if len(sa) * len(sb) <= 1 << BLOCK_BITS else _bound(tables, matched)
     w = u.n - u.n // 2
     best_inf, best_code = np.inf, 1 << u.n
     for (rows, slab), infs in _blocks(tables, beta):
@@ -481,21 +454,19 @@ def enumerate_shadows_naive(u: UnitVector, n_limit: int = 20) -> OracleVerdict:
 
 
 def any_vertex_inside(u: UnitVector) -> bool:
-    """Boolean-only query, by the rule of the module docstring: O(n) where
-    the sign-matched vertex is inside, else whether min |<eps, u>| = 0: some
-    exact sum of A, negated, is one of B, in the distinct-row tables."""
-    uq = _snap(u.coords[None])
+    """Boolean-only query, by the exact rule of the module docstring, with
+    no search: O(n) where the sign-matched vertex is inside, else whether
+    min |<eps, u>| = 0."""
     _check_limit(u.n, DEFAULT_LIMIT)
+    uq = _snap(u.coords[None])
     if _matched_inside(uq)[0]:
         return True
-    ((sa, _, _), (sb, _, _)), _ = _distinct_tables(uq, DEFAULT_LIMIT)
-    return not set((-sa).tolist()).isdisjoint(sb.tolist())
+    return bool(_min_abs_sums(*_sums(uq, DEFAULT_LIMIT))[0] == 0.0)
 
 
 def min_abs_inner_product(u: UnitVector) -> float:
-    """Smallest |<eps, u>| over all sign vectors eps, computed exactly
-    on the snapped direction from one sort of the keys of its leading-sign
-    half sums (_sums, _min_abs_sums)."""
+    """Smallest |<eps, u>| over all sign vectors eps, exactly, on the
+    snapped direction."""
     return float(_min_abs_sums(*_sums(_snap(u.coords[None]), DEFAULT_LIMIT))[0])
 
 
@@ -512,33 +483,27 @@ def is_orthogonal_to_some_vertex(u: UnitVector) -> bool:
 def agreement_sweep(n: int, trials: int, seed: int) -> AgreementStats:
     """Compare the criterion against full enumeration on random directions.
 
-    Samples uniform points on the sphere, skips those orthogonal to some
-    vertex, min |<eps, u>| = 0 (the criterion promises nothing there), and
-    counts agreements between the product test and the exact inside
-    verdict. Disagreements are counted, not raised. The seed is checked
-    even with no trials. Trials go in groups of 2^BLOCK_BITS >> |B|, drawn
-    through one re-keyed generator (measure._draws) and normalized as
-    stacked rows (geometry._unit_rows) that also give the criterion
-    products. One merged sort of each trial's leading-sign half sums gives
-    its exact min |s| (_min_abs_sums), and a kept trial is
-    inside exactly when its sign-matched vertex is (_matched_inside): no
-    trial is searched, no UnitVector is built, and the tally has the bits
-    of sample_sphere(n, seed, t), criterion and enumerate_shadows.
+    Trial t is sample_sphere(n, seed, t). A trial orthogonal to some vertex,
+    min |<eps, u>| = 0, is skipped (the criterion promises nothing there);
+    the others count agreements of criterion with the exact inside verdict,
+    bit for bit those of enumerate_shadows. Disagreements are counted, not
+    raised. n, seed and the cap are checked before any draw, with no trials
+    too. Trials go in groups of 2^BLOCK_BITS >> |B| stacked rows, and none
+    is searched: a kept trial is inside exactly when its sign-matched vertex
+    is (the module's exact rule).
     """
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")
-    _check(n if trials else 1, seed)  # n, like the cap, only with trials
-    agreements = skips = disagreements = satisfied_count = 0
-    # groups of 2^BLOCK_BITS >> |B| trials; n < 1 only with no trials
-    group = max(1, (1 << BLOCK_BITS) >> max(n - n // 2, 0))
     draws = _draws(n, seed, range(trials))
+    _check_limit(n, DEFAULT_LIMIT)
+    agreements = skips = disagreements = satisfied_count = 0
+    group = max(1, (1 << BLOCK_BITS) >> (n - n // 2))
     for _ in range(0, trials, group):
         us = _unit_rows(np.stack(list(islice(draws, group))))
         uq = _snap(us)
         kept = _min_abs_sums(*_sums(uq, DEFAULT_LIMIT)) > 0.0
-        inside = _matched_inside(uq)
-        satisfied = (_criterion_products(us) <= 2.0 + CRITERION_TOL) & kept
-        agree = (satisfied == inside) & kept
+        satisfied = (_criterion_products(us) <= 2.0) & kept
+        agree = (satisfied == _matched_inside(uq)) & kept
         skips += len(us) - int(kept.sum())
         satisfied_count += int(satisfied.sum())
         agreements += int(agree.sum())

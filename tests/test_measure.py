@@ -17,6 +17,28 @@ from cubeshadows.measure import (
 )
 
 
+def philox(n, seed, index, retry):
+    """Draw number retry of stream (seed, index) from a new generator keyed
+    (seed, index) at counter (retry, 0, 0, 0): the bits every draw must have."""
+    key = np.array([seed, index], dtype=np.uint64)
+    counter = np.array([retry, 0, 0, 0], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return gen.standard_normal(n)
+
+
+def fail_first(monkeypatch, fails):
+    """Make draw r of stream index degenerate for r < fails(index), so the
+    first usable draw of that stream is number fails(index)."""
+    draw = measure._gaussian
+
+    def flaky(n, seed, index, retry, gen):
+        if retry < fails(index):
+            return np.zeros(n)
+        return draw(n, seed, index, retry, gen)
+
+    monkeypatch.setattr(measure, "_gaussian", flaky)
+
+
 class TestSampleSphere:
     def test_deterministic_per_stream(self):
         a = sample_sphere(7, seed=42, index=9)
@@ -48,16 +70,20 @@ class TestSampleSphere:
         with pytest.raises(DegenerateSample):
             sample_sphere(3, seed=1)
 
-    def test_a_rekeyed_generator_draws_the_bits_of_a_new_one(self):
-        # one generator re-keyed across lengths, keys and retries, as the
-        # sample loop of estimate uses it
-        gen = np.random.Generator(np.random.Philox(0))
+    def test_a_rekeyed_generator_draws_the_bits_of_a_new_one(self, monkeypatch):
+        # every draw, of _draws and of sample_sphere, goes through one
+        # re-keyed generator, across lengths, keys and retries
+        first = [0]  # the first usable draw of each stream
+        fail_first(monkeypatch, lambda index: first[0])
         for n in (1, 3, 10, 101, 10**4):
             for seed in (0, 2**63 - 1, 2**63, 2**64 - 1):
                 for retry in (0, 1, 7):
-                    fresh = measure._gaussian(n, seed, 5, retry)
-                    again = measure._gaussian(n, seed, 5, retry, gen)
-                    assert fresh.tobytes() == again.tobytes(), (n, seed, retry)
+                    first[0] = retry
+                    fresh = philox(n, seed, 5, retry)
+                    [drawn] = measure._draws(n, seed, [5])
+                    assert drawn.tobytes() == fresh.tobytes(), (n, seed, retry)
+                    sampled = sample_sphere(n, seed, 5).coords
+                    assert sampled.tobytes() == UnitVector(fresh).coords.tobytes()
 
     def test_coordinate_moments_in_three_dimensions(self):
         # a coordinate of a uniform point on the 3-sphere is uniform on
@@ -91,18 +117,11 @@ class TestBatchedDraws:
         # index 1 fails its first draw and index 4 its first two; each row is
         # then the first usable draw of its own stream, as in sample_sphere
         fails = {1: 1, 4: 2}
-        draw = measure._gaussian
-
-        def flaky(n, seed, index, retry, gen=None):
-            if retry < fails.get(index, 0):
-                return np.zeros(n)
-            return draw(n, seed, index, retry, gen)
-
-        monkeypatch.setattr(measure, "_gaussian", flaky)
+        fail_first(monkeypatch, lambda index: fails.get(index, 0))
         for n in (1, 5, 12):
             for seed in (3, 2**64 - 1):
                 for t, row in enumerate(self.rows(n, seed, 6)):
-                    retried = draw(n, seed, t, fails.get(t, 0))
+                    retried = philox(n, seed, t, fails.get(t, 0))
                     assert row.tobytes() == UnitVector(retried).coords.tobytes()
                     again = sample_sphere(n, seed, index=t).coords
                     assert row.tobytes() == again.tobytes(), (n, seed, t)

@@ -900,6 +900,29 @@ class TestBooleanShortcut:
             u = random_direction(n, 1200 + tag)
             assert any_vertex_inside(u) == enumerate_shadows(u).exists_inside
 
+    def test_the_rule_builds_no_class_table_and_runs_no_search(self, monkeypatch):
+        # the maximizers (no vertex inside), the distinct-row cases and
+        # criterion-failing sphere points at n = 20..28: the sign-matched
+        # test, else one sort of the leading-sign half sums
+        failing = [
+            u
+            for n in range(20, 29)
+            for u in (sample_sphere(n, 0, i) for i in range(12))
+            if not criterion(u).satisfied
+        ]
+        assert {u.n for u in failing} == set(range(20, 29))
+        cases = [maximizer(n) for n in range(1, 29)] + distinct_row_cases() + failing
+        refs = [enumerate_shadows(u).exists_inside for u in cases]
+        assert 0 < sum(refs) < len(refs)
+
+        def searched(*_):
+            raise AssertionError("search")
+
+        for name in ("_distinct_tables", "_blocks", "_search"):
+            monkeypatch.setattr(oracle, name, searched)
+        for u, ref in zip(cases, refs):
+            assert any_vertex_inside(u) is ref, u.coords
+
 
 class TestAgreementSweep:
     def test_no_disagreements_in_low_dimension(self):
@@ -1051,8 +1074,9 @@ class TestAgreementSweep:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # one row would take 8 MiB
-        for n in (0, MAX_DIMENSION + 1):
-            assert agreement_sweep(n, 0, 5) == AgreementStats(n, 0, 5, 0, 0, 0, 0)
+        for n in (0, MAX_DIMENSION + 1):  # with no trials too
+            with pytest.raises(InvalidDimension):
+                agreement_sweep(n, 0, 5)
 
     def test_negative_trials_are_rejected(self):
         with pytest.raises(ValueError, match="trials"):
@@ -1063,10 +1087,14 @@ class TestAgreementSweep:
             with pytest.raises(ValueError, match="seed"):
                 agreement_sweep(5, 0, seed)
 
-    def test_cap_applies_only_when_there_are_trials(self):
-        with pytest.raises(DimensionTooLarge):
-            agreement_sweep(29, 1, 0)
-        assert agreement_sweep(29, 0, 0) == AgreementStats(
-            n=29, trials=0, seed=0, agreements=0, skips=0,
-            disagreements=0, satisfied_count=0,
-        )
+    def test_cap_applies_with_or_without_trials(self, monkeypatch):
+        # as at every entry point, before any draw; range errors come first
+        def drawn(*_):
+            raise AssertionError("draw")
+
+        monkeypatch.setattr(measure, "_gaussian", drawn)
+        for trials in (1, 0):
+            with pytest.raises(DimensionTooLarge):
+                agreement_sweep(29, trials, 0)
+        with pytest.raises(InvalidDimension):
+            agreement_sweep(MAX_DIMENSION + 1, 0, 0)

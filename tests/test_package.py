@@ -8,6 +8,7 @@ from pathlib import Path
 import cubeshadows
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cubeshadows"
 DEMOS = ROOT / "demos"
 TRACING = ROOT / "perfbench" / "tracing.py"
 
@@ -64,3 +65,22 @@ def test_every_attribute_the_benchmark_wraps_exists():
     for module, attr in pairs:
         mod = importlib.import_module(f"cubeshadows.{module}")
         assert hasattr(mod, attr), (module, attr)
+
+
+def test_every_private_helper_is_used():
+    # a top-level _name that no other statement of src/ reads, as a name or
+    # an attribute, was orphaned by a deletion; an import is not a read
+    defined, read = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+            names = [getattr(t, "id", None) for t in targets]
+            names.append(getattr(stmt, "name", None))
+            own = {n for n in names if n and n[0] == "_" and n[:2] != "__"}
+            defined |= own
+            for node in ast.walk(stmt):
+                if isinstance(getattr(node, "ctx", None), ast.Load):
+                    name = getattr(node, "id", None) or getattr(node, "attr", None)
+                    read |= {name} - own
+    assert defined
+    assert sorted(defined - read) == []
