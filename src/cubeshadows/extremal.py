@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NonConvergence, check_dimension
 from .geometry import UnitVector, criterion_product
-from .measure import _check
+from .measure import _draws
 
 GRAD_TOL = 1e-11
 MAX_ITERS = 100_000
@@ -97,9 +97,13 @@ def numerical_max(n: int, restarts: int = 8, seed: int = 0) -> AscentResult:
     the surrogate with a fixed step, and renormalizes after every move.
     Raises NonConvergence (carrying the best point seen) if no restart
     drives the tangent gradient below GRAD_TOL within MAX_ITERS steps.
-    The seed keys Philox, as in measure: an int in [0, 2^64).
+    Restart r starts from |g| for g the Gaussian draw r of seed, as
+    measure draws it (_draws): the seed keys Philox, an int in [0, 2^64),
+    and a draw of norm below MIN_GAUSS_NORM is drawn again from the next
+    counter of its stream, where a fresh Philox keyed (seed, r) would have
+    kept it.
     """
-    _check(n, seed)
+    draws = _draws(n, seed, range(restarts))
     if restarts < 1:
         raise ValueError(f"need restarts >= 1, got {restarts}")
     step = 0.1 / math.sqrt(n)
@@ -107,10 +111,8 @@ def numerical_max(n: int, restarts: int = 8, seed: int = 0) -> AscentResult:
     best = None  # best converged restart: (value, point, gn, iters)
     fallback = None  # best seen overall, for the failure payload
     converged = 0
-    for r in range(restarts):
-        key = np.array([seed, r], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        w = np.abs(rng.standard_normal(n))
+    for g in draws:
+        w = np.abs(g)
         w[0] += 1.0
         w /= np.linalg.norm(w)
 

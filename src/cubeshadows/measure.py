@@ -3,9 +3,10 @@
 Sampling uses one Philox stream per sample, keyed by (seed, sample
 index), so results are bit-identical no matter how the work is chunked
 or ordered. Philox is counter-based: a draw is fixed by its key and
-counter alone, so every draw (_draws, for sample_sphere, estimate and
-the oracle's agreement_sweep) goes through one generator re-keyed to
-each stream, which gives the bits of a fresh one at a third of the cost.
+counter alone, so every draw (_draws, for sample_sphere, estimate, the
+oracle's agreement_sweep and the starts of extremal.numerical_max) goes
+through one generator per thread, made on first use and re-keyed to each
+stream, which gives the bits of a fresh one at a fraction of the cost.
 The criterion product is scale invariant, so statistics are computed on
 raw Gaussian vectors without normalizing each one.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -25,6 +27,7 @@ from .geometry import UnitVector
 MAX_RETRIES = 100
 MIN_GAUSS_NORM = 1e-8
 MAX_SAMPLES = 2**24  # 128 MiB of products, and as much again to sort them
+_THREAD = threading.local()  # .gen: the thread's generator, once it has drawn
 
 
 @dataclass(frozen=True)
@@ -74,11 +77,14 @@ def _check(n: int, *keys: int) -> None:
 
 
 def _draws(n: int, seed: int, indexes: Iterable[int]) -> Iterator[np.ndarray]:
-    """_gaussian_nonzero(n, seed, i) for each i, through one generator
-    re-keyed for every draw; n and seed are checked at the call, before
+    """_gaussian_nonzero(n, seed, i) for each i, through the calling
+    thread's generator, re-keyed for every draw, so draws of interleaved
+    calls keep their bits; n and seed are checked at the call, before
     anything is drawn."""
     _check(n, seed)
-    gen = np.random.Generator(np.random.Philox(0))
+    gen = getattr(_THREAD, "gen", None)
+    if gen is None:
+        gen = _THREAD.gen = np.random.Generator(np.random.Philox(0))
     return (_gaussian_nonzero(n, seed, i, gen) for i in indexes)
 
 

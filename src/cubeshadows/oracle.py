@@ -4,10 +4,11 @@ Exactness: the direction is first snapped to a dyadic grid with 48
 fractional bits, which moves each coordinate by at most 2^-49. Every
 signed sum <eps, u> is then a multiple of 2^-48 of size at most sqrt(n) +
 n 2^-49, below 6.0001 up to MAX_LIMIT, exact in float64 in any summation
-order. (Sums stay exact up to n = 1023 and the keys of min |<eps, u>| up
-to n = 255: DEFAULT_LIMIT bounds running time and MAX_LIMIT the size of
-the half tables, not exactness.) Every split and the naive reference
-therefore give bit-identical verdicts.
+order. (Sums stay exact up to n = 1023, and the keys of min |<eps, u>|
+below 2^62, as its odd-gap rule needs, while |s| < 2^12: DEFAULT_LIMIT
+bounds running time and MAX_LIMIT the size of the half tables, not
+exactness.) Every split and the naive reference therefore give
+bit-identical verdicts.
 
 Tables: the enumeration meets in the middle (Horowitz and Sahni, JACM
 1974). With t_k = eps_k u_k and s = sum t_k, |eps_k - s u_k| = |1 - s t_k|,
@@ -24,12 +25,18 @@ the tie rule's order.
 Halving: row 2^k - 1 - a of a half negates row a and its sum, so the sums
 of A and of B are closed under negation, and min |<eps, u>|, min |a + b|
 over their pairs, is min ||a| - |b|| over the sums of the rows whose
-leading sign is +1 (_sums), as min(|a + b|, |a - b|) = ||a| - |b||. Their
-int64 keys |a| 2^49, low bit 0, and |b| 2^49 + 1, low bit 1, are exact
-below 2^52. After one sort (_min_abs_sums), the nearest pair is adjacent,
-or has an adjacent pair of opposite low bits between them whose gap is no
-larger: (d + (k & 1)) >> 1 units of 2^-48 for a key difference d after
-key k. A tie |a| == |b| sorts A first: a gap of 0.
+leading sign is +1 (_sums), as min(|a + b|, |a - b|) = ||a| - |b||. A leaf
+of these sums is one matmul with the signs, exact in any order, FMA
+included, so only an exact zero's sign could change, which |.| drops.
+Their int64 keys, |a| 2^50 and |b| 2^50 + 1, are 0 and 1 mod 4, as each
+|s| is a multiple of 2^-48. After one sort (_min_abs_sums), the nearest
+A-B pair is adjacent, or has an adjacent A-B pair between them whose gap
+is no larger. Adjacent keys of one half differ by a multiple of 4, and of
+opposite halves by d = 4 D + 1, A first (a tie |a| == |b| sorts A first),
+or 4 D - 1, B first, for D = ||a| - |b|| in units of 2^-48: the odd gaps
+are the A-B pairs', and (d + 1) >> 2 = D either way. Subtracting 2^62 from
+each odd gap puts them below every even gap in their own order, so one
+plain min finds the nearest pair.
 
 Sign lemma: only the sign-matched vertex eps = sign(u), and its negation,
 which ties it bit for bit, can have a sup-norm below 1. Any other vertex
@@ -125,26 +132,24 @@ def _vertex_from_code(code: int, n: int) -> Vertex:
     return Vertex((1 - 2 * bits).astype(np.int8))
 
 
-def _table(u: np.ndarray, sums_only: bool = False):
+def _table(u: np.ndarray):
     """(s, t_max, t_min), each (T, 2^k), over the sign patterns of u, shape
-    (k, T, 1): row a sets coordinate j to -1 when bit (k-1-j) of a is set.
-    With sums_only, the tuple (s,) alone."""
+    (k, T, 1): row a sets coordinate j to -1 when bit (k-1-j) of a is set."""
     k = len(u)
     if k <= _LEAF:
         t = _SIGNS[_LEAF - k :, :, : 1 << k] * u
-        if sums_only:
-            return (t.sum(0),)
         return t.sum(0), t.max(0, initial=-np.inf), t.min(0, initial=np.inf)
-    return _pair(_table(u[: k // 2], sums_only), _table(u[k // 2 :], sums_only))
+    return _pair(_table(u[: k // 2]), _table(u[k // 2 :]))
 
 
-def _lead_sums(u: np.ndarray) -> np.ndarray:
-    """The sums of the first half of the rows of _table(u), those whose
-    leading sign is +1, of shape (T, 2^(k-1)), or the one sum 0 if k = 0."""
+def _row_sums(u: np.ndarray, lead: bool) -> np.ndarray:
+    """The sums s of _table(u), shape (T, 2^k), a leaf's by one matmul; with
+    lead, only those of its first half of rows, whose leading sign is +1,
+    shape (T, 2^(k-1)), or the one sum 0 if k = 0."""
     k = len(u)
     if k <= _LEAF:
-        return (_SIGNS[_LEAF - k :, :, : max(1 << k >> 1, 1)] * u).sum(0)
-    return _pair((_lead_sums(u[: k // 2]),), _table(u[k // 2 :], True))[0]
+        return u[..., 0].T @ _SIGNS[_LEAF - k :, 0, : max(1 << k >> lead, 1)]
+    return _pair((_row_sums(u[: k // 2], lead),), (_row_sums(u[k // 2 :], False),))[0]
 
 
 def _pair(lead, trail):
@@ -167,13 +172,13 @@ def _check_limit(n: int, n_limit: int) -> None:
 
 
 def _sums(uq: np.ndarray, n_limit: int):
-    """The leading-sign sums (_lead_sums) of A = uq[:, :n//2] and of B, for
+    """The leading-sign sums (_row_sums) of A = uq[:, :n//2] and of B, for
     T snapped directions uq, shape (T, n). An empty half is the one sum 0."""
     n = uq.shape[1]
     _check_limit(n, n_limit)
     # coordinate axis first: reducing over it runs on contiguous rows
     u = np.ascontiguousarray(uq.T)[:, :, None]
-    return _lead_sums(u[: n // 2]), _lead_sums(u[n // 2 :])
+    return _row_sums(u[: n // 2], True), _row_sums(u[n // 2 :], True)
 
 
 def _class_table(u: np.ndarray):
@@ -222,18 +227,19 @@ def _distinct_tables(uq: np.ndarray, n_limit: int):
 
 def _min_abs_sums(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     """min ||a| - |b|| over sa[i] x sb[i] for each row i of two stacks of
-    sums, exactly, from one sort of their keys (the module's Halving): min
-    |<eps, u>| for _sums' halves, or for _distinct_tables' sums."""
+    sums, exactly, from one sort of their keys and one min of their odd
+    gaps (the module's Halving): min |<eps, u>| for _sums' halves, or for
+    _distinct_tables' sums."""
     keys = np.concatenate((sa, sb), axis=1)
-    keys = np.ldexp(np.abs(keys, out=keys), QUANT_BITS + 1, out=keys).astype(np.int64)
+    keys = np.ldexp(np.abs(keys, out=keys), QUANT_BITS + 2, out=keys).astype(np.int64)
     keys[:, sa.shape[1] :] |= 1
     keys.sort(axis=1)
-    gaps = np.diff(keys, axis=1)
-    keys &= 1  # in place from here: at n = 36 each array of keys takes 4 MiB
-    gaps += keys[:, :-1]
-    gaps >>= 1
-    low = gaps.min(1, initial=np.iinfo(np.int64).max, where=keys[:, 1:] != keys[:, :-1])
-    return np.ldexp(low, -QUANT_BITS)
+    gaps = keys[:, 1:] - keys[:, :-1]
+    # the spent keys take the parity: a new array would pass 8 MiB at n = 36
+    odd = np.bitwise_and(gaps, 1, out=keys[:, 1:])
+    odd <<= 62
+    gaps -= odd
+    return np.ldexp((gaps.min(1) + (1 << 62) + 1) >> 2, -QUANT_BITS)
 
 
 def _search(sb: np.ndarray, keys: np.ndarray, side: str = "left") -> np.ndarray:

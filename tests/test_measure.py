@@ -1,6 +1,8 @@
 """Random-direction sampling and criterion-product statistics."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -125,6 +127,34 @@ class TestBatchedDraws:
                     assert row.tobytes() == UnitVector(retried).coords.tobytes()
                     again = sample_sphere(n, seed, index=t).coords
                     assert row.tobytes() == again.tobytes(), (n, seed, t)
+
+    def test_threads_interleave_streams_with_the_bits_of_new_generators(self):
+        # each thread alternates two streams of its own; with a switch
+        # interval of 1 us, threads also take turns between a re-key and its
+        # draw, which one generator shared by the threads would not survive
+        n, count, got = 3, 300, {}
+
+        def draw(seed):
+            pair = (measure._draws(n, s, range(count)) for s in (seed, seed + 1))
+            got[seed] = [row for rows in zip(*pair) for row in rows]
+
+        threads = [threading.Thread(target=draw, args=(2 * t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(got) == [0, 2, 4, 6]
+        for seed, rows in got.items():
+            want = [philox(n, s, i, 0) for i in range(count) for s in (seed, seed + 1)]
+            assert b"".join(r.tobytes() for r in rows) == b"".join(
+                w.tobytes() for w in want
+            ), seed
 
     def test_gives_up_after_every_retry_of_one_stream(self, monkeypatch):
         retries = []

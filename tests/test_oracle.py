@@ -515,11 +515,8 @@ class TestSignLemma:
         # a sign-matched norm below 1 is the verdict: no t_max or t_min
         # table is built, no step of the search runs, and min |s| comes
         # from one sort of the half sums' keys, with no binary search
-        table = oracle._table
-
-        def sums_only(u, sums_only=False):
-            assert sums_only, "t_max and t_min tables"
-            return table(u, sums_only)
+        def tabled(*_):
+            raise AssertionError("t_max and t_min tables")
 
         def searched(*_):
             raise AssertionError("search")
@@ -527,7 +524,7 @@ class TestSignLemma:
         u = sample_sphere(20, 5)
         assert criterion(u).satisfied
         ref = enumerate_shadows_naive(u)
-        monkeypatch.setattr(oracle, "_table", sums_only)
+        monkeypatch.setattr(oracle, "_table", tabled)
         for name in (
             "_distinct_tables", "_bound", "_windows", "_blocks", "_nearest", "_search"
         ):
@@ -677,11 +674,12 @@ class TestStackedRows:
         assert oracle._min_abs_sums(sa, sb).tolist() == [0.0]
 
     def test_packed_keys_are_exact_at_their_edges(self):
-        # the largest key, |s| 2^49 + 1 with |s| at most sqrt(n) + n 2^-49,
-        # is an integer below 2^53 up to the ceiling: float64 holds it and
-        # its int64 conversion is exact
+        # the largest key, |s| 2^50 + 1 with |s| at most sqrt(n) + n 2^-49,
+        # is an integer below 2^53 up to the ceiling: float64 holds it, its
+        # int64 conversion is exact, and it is far below the 2^62 that the
+        # odd-gap rule needs
         top = math.sqrt(oracle.MAX_LIMIT) + oracle.MAX_LIMIT * 2.0**-49
-        assert top * 2.0 ** (oracle.QUANT_BITS + 1) + 1 < 2**53
+        assert top * 2.0 ** (oracle.QUANT_BITS + 2) + 1 < 2**53
         unit = 2.0**-oracle.QUANT_BITS
         # an empty A half (n = 1), n = 2, an exact tie -a == b, and two
         # snapped coordinates one unit of 2^-48 apart
@@ -721,6 +719,36 @@ class TestStackedRows:
         sums = (np.ldexp(x.astype(np.float64), -oracle.QUANT_BITS) for x in (ia, ib))
         got = oracle._min_abs_sums(*sums)
         assert got.tolist() == [math.ldexp(int(w), -oracle.QUANT_BITS) for w in want]
+
+    def test_only_gaps_between_the_halves_count(self):
+        # each half repeats a sum, as the maximizer's halves do, so sorted
+        # keys of one half lie 0 apart while min |<eps, u>| > 0; then gaps of
+        # one unit at the top of the key range, B sorting first (|b| = |a| -
+        # 1) and A first (|b| = |a| + 1), and a tie there among repeats
+        edge = 6 << oracle.QUANT_BITS
+        ia, ib = np.array([
+            [[edge, edge, -edge, 7], [edge - 3, 2, -2, 2]],
+            [[5, -5, 5, 5], [9, 9, -9, 12]],
+            [[edge, -edge, 1, 1], [edge - 1, 1 - edge, 3, -3]],
+            [[edge - 1, 1 - edge, 1, -1], [edge, edge, -edge, 3]],
+            [[edge, edge, 0, 0], [-edge, 3, 3, 3]],
+        ]).transpose(1, 0, 2)
+        want = [min(abs(a + b) for a in x for b in (*y, *-y)) for x, y in zip(ia, ib)]
+        assert want == [3, 4, 1, 1, 0]
+        for half in (ia, ib):
+            assert all(len(set(np.abs(row).tolist())) < len(row) for row in half)
+        sums = (np.ldexp(x.astype(np.float64), -oracle.QUANT_BITS) for x in (ia, ib))
+        got = oracle._min_abs_sums(*sums)
+        assert got.tolist() == [math.ldexp(int(w), -oracle.QUANT_BITS) for w in want]
+        # the maximizer's B half, of three or more equal coordinates, repeats
+        # sums, and min |<eps, u>| > 0
+        for n in range(6, 15):
+            sa, sb = oracle._sums(_snap(maximizer(n).coords[None]), 14)
+            assert len(np.unique(np.abs(sb))) < sb.size, n
+            fa, fb = closure(sa), closure(sb)
+            brute = np.abs(fa[:, :, None] + fb[:, None]).min((1, 2))
+            assert oracle._min_abs_sums(sa, sb).tolist() == brute.tolist(), n
+            assert brute[0] > 0.0, n
 
     def test_stacked_sign_matched_norms_are_each_rows_norm(self):
         # the sum of |u| is exact in any order, so a stack has each row's bits

@@ -84,3 +84,17 @@ def test_every_private_helper_is_used():
                     read |= {name} - own
     assert defined
     assert sorted(defined - read) == []
+
+
+def test_only_draws_builds_a_philox_generator():
+    # one keying path: measure._draws makes the generator that every draw
+    # re-keys, and no other function of src/ constructs Philox
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(stmt):
+                func = getattr(node, "func", None)
+                name = getattr(func, "attr", None) or getattr(func, "id", None)
+                if name == "Philox":
+                    found.append((path.stem, getattr(stmt, "name", None)))
+    assert found == [("measure", "_draws")]
