@@ -256,7 +256,7 @@ class TestHalfTables:
     def test_min_abs_at_the_ceiling_sorts_only_the_leading_sign_halves(self):
         # sample_sphere(36, 7) is decided by its sign-matched vertex, so its
         # peak is min |<eps, u>|'s: 2^17 sums per half and their 2^18 keys,
-        # 6.25 MiB; the full halves' 2^19 keys and sums took 12.5 MiB
+        # 6.0 MiB; the full halves' 2^19 keys and sums took 12.5 MiB
         u = sample_sphere(36, 7)
         tracemalloc.start()
         try:
