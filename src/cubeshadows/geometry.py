@@ -12,17 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch
-
-# Absolute tolerances, read at call time. ZERO_TOL separates "coordinate
-# is zero" from "coordinate is merely small", which matters because zero
-# coordinates pin the projected entry at exactly +-1.
-ZERO_TOL = 1e-13
-INSIDE_TOL = 1e-12
 
 
 def _row_fsum(x: np.ndarray) -> np.ndarray:
@@ -150,18 +145,27 @@ def norms(u: UnitVector) -> Norms:
 
 
 def criterion_product(u: UnitVector) -> float:
-    """||u||_1 * ||u||_inf, the decision quantity of the criterion.
+    """||u||_1 * ||u||_inf rounded to a float: the criterion's product.
 
     The l1 sum is exactly rounded, so permuting or sign-flipping the
     coordinates cannot change the product, not even in the last bit.
     """
-    return float(_criterion_products(u.coords))
+    a = np.abs(u.coords)
+    return math.fsum(a.tolist()) * float(a.max())
 
 
-def _criterion_products(rows: np.ndarray) -> np.ndarray:
-    """criterion_product of each row of a stack of unit rows."""
+def _products_at_most(rows: np.ndarray, bound: float = 2.0) -> np.ndarray:
+    """Whether ||r||_1 ||r||_inf <= bound, exactly, for each of T unit rows r,
+    shape (T, n), by a filtered predicate (Shewchuk, DCG 18, 1997): the float
+    product p is within about n 2^-53 p of the exact one, so where |p - bound|
+    exceeds twice that p decides, and Fractions decide the rest."""
     a = np.abs(rows)
-    return _row_fsum(a) * a.max(axis=-1)
+    p = a.sum(axis=1) * a.max(axis=1)
+    at_most = p <= bound
+    for i in np.flatnonzero(np.abs(p - bound) <= p * (a.shape[1] * 2.0**-52)):
+        r = [Fraction(x) for x in a[i].tolist()]
+        at_most[i] = sum(r) * max(r) <= bound
+    return at_most
 
 
 def project(u: UnitVector, x: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -173,29 +177,32 @@ def project(u: UnitVector, x: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 def canonical_vertex(u: UnitVector) -> Vertex:
-    """The sign-matched vertex for u.
-
-    +1 wherever u_k > ZERO_TOL, -1 wherever u_k < -ZERO_TOL, and +1 at
-    (near-)zero coordinates as a deterministic tie rule. Whenever any
-    vertex projects inside the section, this one does.
-    """
-    return Vertex(np.where(u.coords < -ZERO_TOL, -1, 1).astype(np.int8))
+    """The sign-matched vertex for u: -1 where u_k < 0, +1 elsewhere, zeros
+    of either sign included. It is inside exactly when ||u||_1 ||u||_inf <= 2
+    (shadow), and a vertex not orthogonal to u is inside only if it is."""
+    return Vertex(np.where(u.coords < 0, -1, 1).astype(np.int8))
 
 
 def shadow(u: UnitVector, eps: Vertex) -> ShadowReport:
-    """Project the vertex eps along u and report where it landed."""
+    """Project the vertex eps along u and report where it landed. inside is
+    exact on the stored floats: with t = eps u and S = sum t (fsum, so its
+    sign and its zero are exact), |eps_k - S u_k| = |1 - S t_k| <= 1 means
+    0 <= S t_k <= 2, so eps is inside iff S = 0 or every t_k has the sign of
+    S and ||u||_1 ||u||_inf <= 2."""
     if eps.n != u.n:
         raise DimensionMismatch(f"vertex has n={eps.n}, direction has n={u.n}")
-    e = eps.signs.astype(np.float64)
-    ip = float(np.dot(e, u.coords))
-    coords = e - ip * u.coords
+    t = eps.signs * u.coords
+    ip = math.fsum(t.tolist())
+    coords = eps.signs - ip * u.coords
     coords.flags.writeable = False
-    inf_norm = float(np.max(np.abs(coords)))
+    inside = ip == 0.0 or (
+        (math.copysign(1.0, ip) * t >= 0).all() and _products_at_most(u.coords[None])[0]
+    )
     return ShadowReport(
         vertex=eps,
         shadow=coords,
-        inf_norm=inf_norm,
-        inside=bool(inf_norm <= 1.0 + INSIDE_TOL),
+        inf_norm=float(np.max(np.abs(coords))),
+        inside=bool(inside),
         inner_product=ip,
     )
 
@@ -204,35 +211,25 @@ def shadow_norm_closed_form(u: UnitVector) -> float:
     """Sup-norm of the canonical vertex's shadow, without projecting.
 
     Signs of u are irrelevant (flip the matching vertex coordinate), so
-    work with |u_k|. A coordinate with u_k = 0 keeps its unit entry and
-    contributes exactly 1; every other coordinate k contributes
-    |1 - |u_k| * ||u||_1|. With a zero coordinate present the result
-    collapses to max(1, |1 - ||u||_inf * ||u||_1|).
+    work with |u_k|: coordinate k contributes |1 - |u_k| * ||u||_1|, which
+    is exactly 1 where u_k = 0, as that coordinate keeps its unit entry.
     """
     a = np.abs(u.coords)
-    l1 = float(_row_fsum(a))
-    nonzero = a > ZERO_TOL
-    best = 0.0
-    if nonzero.any():
-        best = float(np.max(np.abs(1.0 - a[nonzero] * l1)))
-    if not nonzero.all():
-        best = max(best, 1.0)
-    return best
+    return float(np.max(np.abs(1.0 - a * math.fsum(a.tolist()))))
 
 
 def criterion(u: UnitVector, criterion_tol: float = 0.0) -> CriterionResult:
     """Decide whether some vertex of the cube projects into the section.
 
-    For directions not orthogonal to any vertex, the product
-    ||u||_1 * ||u||_inf <= 2 holds exactly when the canonical vertex's
-    shadow stays inside, and when it fails no vertex lands inside. The
-    threshold is inclusive; pass a negative criterion_tol to shave the
-    boundary off in statistical runs.
+    product is ||u||_1 * ||u||_inf rounded; satisfied compares the exact
+    product of the stored floats with 2 + criterion_tol, inclusively, so at
+    criterion_tol 0 it is shadow(u, witness).inside, and when it is False
+    only a vertex orthogonal to u is inside. A negative criterion_tol shaves
+    the boundary off in statistical runs.
     """
-    product = criterion_product(u)
     return CriterionResult(
-        product=product,
-        satisfied=bool(product <= 2.0 + criterion_tol),
+        product=criterion_product(u),
+        satisfied=bool(_products_at_most(u.coords[None], 2.0 + criterion_tol)[0]),
         witness=canonical_vertex(u),
-        degenerate_zero_coords=bool(np.min(np.abs(u.coords)) <= ZERO_TOL),
+        degenerate_zero_coords=not u.coords.all(),
     )

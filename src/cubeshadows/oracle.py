@@ -61,15 +61,16 @@ multiset, and as a code is a 2^|B| + b, the smallest code among tied class
 pairs is that of their smallest rows: the tie rule holds. maximizer(n)
 has about n rows per half instead of 2^(n/2).
 
-Exact rule: write U = uq 2^48, integers. Some vertex has an exact shadow
-sup-norm <= 1 exactly when min |<eps, U>| = 0 or ||U||_1 ||U||_inf <=
-2^97. Proof: take S = <eps, U>. If S = 0, the shadow of eps is eps, of
-norm 1. If S > 0 (else negate eps), |1 - s t_k| <= 1 means 0 <= s t_k <=
-2, so no t_k is negative: eps is sign(u) off the zero coordinates, S =
-||U||_1, and the norm is <= 1 exactly when S max |U_k| <= 2^97
-(_matched_inside). No tolerance decides a flag, and no flag needs a
-search. best_inf_norm, the kernel's float, is below 1 only if some vertex
-is inside and above 1 only if none is, but may round to 1 either way.
+Exact rule: some vertex has an exact shadow sup-norm <= 1 exactly when
+min |<eps, uq>| = 0 or ||uq||_1 ||uq||_inf <= 2. Proof: if s = 0, the
+shadow of eps is eps, of norm 1. If s > 0 (else negate eps), |1 - s t_k|
+<= 1 means 0 <= s t_k <= 2, so no t_k is negative: eps is sign(u) off the
+zero coordinates, s = ||uq||_1, and the norm is <= 1 exactly when s max
+|uq_k| <= 2, which geometry._products_at_most decides exactly, as it does
+for geometry.shadow on the stored floats. No tolerance decides a flag,
+and no flag needs a search. best_inf_norm, the kernel's float, is below
+1 only if some vertex is inside and above 1 only if none is, but may
+round to 1 either way.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ import numpy as np
 
 from .errors import DimensionTooLarge
 from .geometry import UnitVector, Vertex
-from .geometry import _criterion_products, _unit_rows
+from .geometry import _products_at_most, _unit_rows
 from .geometry import criterion  # perfbench wraps oracle.criterion
 from .measure import _draws
 from .measure import sample_sphere  # perfbench wraps oracle.sample_sphere
@@ -370,15 +371,6 @@ def _blocks(tables, beta=np.inf):
         yield (rows[r], c), np.maximum(hi, lo, out=hi)
 
 
-def _matched_inside(uq: np.ndarray) -> np.ndarray:
-    """Whether the sign-matched vertex eps = sign(u) of each of T snapped
-    directions uq, shape (T, n), is exactly inside: ||U||_1 ||U||_inf <=
-    2^97 for U = uq 2^48, in Python ints, as the product reaches 2^103."""
-    units = np.abs(np.ldexp(uq, QUANT_BITS)).astype(np.int64)
-    pairs = zip(units.sum(axis=1).tolist(), units.max(axis=1).tolist())
-    return np.fromiter((s * m <= 1 << 2 * QUANT_BITS + 1 for s, m in pairs), bool)
-
-
 def _verdict(inside, best_inf, best_vertex: Vertex, min_abs_ip) -> OracleVerdict:
     return OracleVerdict(
         exists_inside=bool(inside),
@@ -417,7 +409,7 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
         if low < best_inf or code < best_code:
             best_inf, best_code = float(low), code
     min_abs_ip = _min_abs_sums(sa[None], sb[None])[0]
-    inside = min_abs_ip == 0.0 or _matched_inside(uq)[0]
+    inside = min_abs_ip == 0.0 or _products_at_most(uq)[0]
     return _verdict(inside, best_inf, _vertex_from_code(best_code, u.n), min_abs_ip)
 
 
@@ -465,7 +457,7 @@ def any_vertex_inside(u: UnitVector) -> bool:
     min |<eps, u>| = 0."""
     _check_limit(u.n, DEFAULT_LIMIT)
     uq = _snap(u.coords[None])
-    if _matched_inside(uq)[0]:
+    if _products_at_most(uq)[0]:
         return True
     return bool(_min_abs_sums(*_sums(uq, DEFAULT_LIMIT))[0] == 0.0)
 
@@ -508,8 +500,8 @@ def agreement_sweep(n: int, trials: int, seed: int) -> AgreementStats:
         us = _unit_rows(np.stack(list(islice(draws, group))))
         uq = _snap(us)
         kept = _min_abs_sums(*_sums(uq, DEFAULT_LIMIT)) > 0.0
-        satisfied = (_criterion_products(us) <= 2.0) & kept
-        agree = (satisfied == _matched_inside(uq)) & kept
+        satisfied = _products_at_most(us) & kept
+        agree = (satisfied == _products_at_most(uq)) & kept
         skips += len(us) - int(kept.sum())
         satisfied_count += int(satisfied.sum())
         agreements += int(agree.sum())

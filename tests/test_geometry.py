@@ -8,10 +8,9 @@ from hypothesis import assume, example, given, strategies as st
 
 from cubeshadows.errors import DimensionMismatch
 from cubeshadows.geometry import (
-    ZERO_TOL,
     UnitVector,
-    _criterion_products,
     _exact_l2,
+    _products_at_most,
     _pow2_scaled,
     _unit_rows,
     Vertex,
@@ -125,11 +124,12 @@ class TestUnitVector:
         ks = (-1060, -1000, -500, 0, 500, 1000, 1020)
         stack = np.stack([np.ldexp(x, k) for k in ks])
         rows, ref = _unit_rows(stack), UnitVector(x).coords
-        products = _criterion_products(rows)
-        for k, v, row, product in zip(ks, stack, rows, products):
+        decided = _products_at_most(rows)
+        for k, v, row, satisfied in zip(ks, stack, rows, decided):
             u = UnitVector(v)
             assert row.tobytes() == u.coords.tobytes(), k
-            assert product == criterion_product(u) == norms(u).l1 * norms(u).linf
+            assert satisfied == criterion(u).satisfied, k
+            assert criterion_product(u) == norms(u).l1 * norms(u).linf
             if k >= -1000:  # no subnormal coordinate: the same direction
                 assert row.tobytes() == ref.tobytes(), k
 
@@ -265,7 +265,7 @@ class TestCanonicalVertex:
         u = UnitVector(np.array(xs))
         v = canonical_vertex(u)
         for c, s in zip(u.coords, v.signs):
-            assert s == (-1 if c < -ZERO_TOL else 1)
+            assert s == (-1 if c < 0 else 1)
 
 
 class TestClosedFormShadowNorm:
@@ -314,24 +314,16 @@ class TestCriterion:
         assert a.satisfied == b.satisfied
 
     @given(coord_lists)
-    def test_verdict_is_the_threshold_comparison(self, xs):
-        res = criterion(UnitVector(np.array(xs)))
-        assert res.satisfied == (res.product <= 2.0)
-
-    @given(coord_lists)
     def test_witness_is_the_canonical_vertex(self, xs):
         u = UnitVector(np.array(xs))
         res = criterion(u)
         assert res.witness.signs.tolist() == canonical_vertex(u).signs.tolist()
 
     @given(coord_lists)
-    def test_satisfied_directions_have_inside_witness(self, xs):
-        # sufficiency at unit scale, with slack for boundary roundoff
+    @example([4.0] + [1.0] * 8)
+    @example([1.0, 1.0, -1e-14])
+    def test_verdict_is_the_witness_shadow_verdict(self, xs):
+        # both are exact on the stored floats, so they agree with no slack
         u = UnitVector(np.array(xs))
         res = criterion(u)
-        if res.product <= 2.0 - 1e-6:
-            rep = shadow(u, res.witness)
-            assert rep.inf_norm <= 1.0 + 1e-12
-        elif res.product >= 2.0 + 1e-6:
-            rep = shadow(u, res.witness)
-            assert rep.inf_norm >= 1.0 - 1e-12
+        assert res.satisfied == shadow(u, res.witness).inside

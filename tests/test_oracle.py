@@ -15,6 +15,7 @@ from cubeshadows.errors import MAX_DIMENSION, DimensionTooLarge, InvalidDimensio
 from cubeshadows.extremal import maximizer
 from cubeshadows.geometry import (
     UnitVector,
+    Vertex,
     canonical_vertex,
     criterion,
     shadow,
@@ -627,6 +628,57 @@ class TestExactInsideRule:
         assert {(True, True, False), (False, False, False)} <= set(seen)
         assert {(True, False, True), (False, True, False)} <= set(seen)
         assert (True, False, False) in seen
+
+
+def fraction_inside(xs, eps):
+    """Whether the vertex eps projects inside the section along the stored
+    floats xs, in Fractions, by the definition: |eps_k - S x_k| <= 1 for
+    every k, with S = <eps, x>."""
+    s = sum(e * x for e, x in zip(eps, xs))
+    return all(abs(e - s * x) <= 1 for e, x in zip(eps, xs))
+
+
+class TestExactDecisionsOnTheStoredFloats:
+    def test_geometry_matches_a_fraction_brute_force(self):
+        # geometry decides on the stored floats, not on the snapped ones:
+        # satisfied, the witness, degenerate_zero_coords and shadow's inside,
+        # for the witness, its negation, every one-sign flip of it and the
+        # oracle's best vertex, against Fractions. maximizer(9) has the float
+        # product 2.0 and the exact product 2 + 1.9e-16, and -1e-14 is a
+        # coordinate, not a zero
+        cases = boundary_family_cases()
+        cases += [maximizer(n) for n in (9, 16, 25)]
+        cases += [u_of(1.0, 1.0, -1e-14), u_of(1.0, 5e-324), u_of(1.0, 1.0, -5e-324)]
+        cases += [u_of(-0.0, 1.0), u_of(0.0, -0.0, 1.0), u_of(4.0, *[1.0] * 8)]
+        seen = Counter()
+        for u in cases:
+            xs = [Fraction(x) for x in u.coords.tolist()]
+            satisfied = sum(map(abs, xs)) * max(map(abs, xs)) <= 2
+            witness = [-1 if x < 0 else 1 for x in xs]
+            res = criterion(u)
+            assert res.satisfied == satisfied, u.coords
+            assert res.witness.signs.tolist() == witness, u.coords
+            assert res.degenerate_zero_coords == (0 in xs), u.coords
+            flips = [witness[:k] + [-witness[k]] + witness[k + 1 :] for k in range(u.n)]
+            best = enumerate_shadows(u).best_vertex.signs.tolist()
+            for eps in [witness, [-e for e in witness], best, *flips]:
+                want = fraction_inside(xs, eps)
+                got = shadow(u, Vertex(np.array(eps, dtype=np.int8))).inside
+                assert got == want, (u.coords, eps)
+                seen[want, eps == witness] += 1
+            assert shadow(u, res.witness).inside == satisfied, u.coords
+        # both verdicts for the witness, and inside vertices other than it:
+        # (4, 1 x 8) is orthogonal to (-1, 1 x 8) as stored
+        assert {(True, True), (False, True), (True, False)} <= set(seen)
+        # S = 2^-1074 exactly, and each S t_k = -2^-1076 rounds to -0.0: the
+        # signs of t and S decide, not their rounded products
+        u = u_of(*[1.0] * 16, 2.0**-1072)
+        eps = [1, -1] * 8 + [1]
+        assert u.coords[-1] == 5e-324
+        assert not fraction_inside([Fraction(x) for x in u.coords.tolist()], eps)
+        assert not shadow(u, Vertex(np.array(eps, dtype=np.int8))).inside
+        assert criterion(maximizer(9)).product == 2.0
+        assert not criterion(maximizer(9)).satisfied
 
 
 def stacks_by_dimension(cases):

@@ -98,3 +98,16 @@ def test_only_draws_builds_a_philox_generator():
                 if name == "Philox":
                     found.append((path.stem, getattr(stmt, "name", None)))
     assert found == [("measure", "_draws")]
+
+
+def test_geometry_and_oracle_define_no_tolerance():
+    # every inside decision of geometry and oracle is exact, so neither
+    # module has a *_TOL constant for a caller to tune
+    found = []
+    for stem in ("geometry", "oracle"):
+        tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "name", None)
+            if isinstance(name, str) and name.endswith("_TOL"):
+                found.append((stem, name))
+    assert found == []
