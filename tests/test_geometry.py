@@ -1,6 +1,7 @@
 """Projection geometry, shadow norms, and the norm-product criterion."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -314,10 +315,35 @@ class TestCriterion:
         assert a.satisfied == b.satisfied
 
     @given(coord_lists)
+    @example([4.0] + [1.0] * 8)
+    def test_verdict_is_the_threshold_comparison(self, xs):
+        # the exact product of the stored floats against 2; the rounded
+        # product agrees wherever it is clear of the threshold
+        res = criterion(UnitVector(np.array(xs)))
+        a = [abs(Fraction(x)) for x in UnitVector(np.array(xs)).coords.tolist()]
+        assert res.satisfied == (sum(a) * max(a) <= 2)
+        if abs(res.product - 2.0) > 1e-12:
+            assert res.satisfied == (res.product <= 2.0)
+
+    @given(coord_lists)
     def test_witness_is_the_canonical_vertex(self, xs):
         u = UnitVector(np.array(xs))
         res = criterion(u)
         assert res.witness.signs.tolist() == canonical_vertex(u).signs.tolist()
+
+    @given(coord_lists)
+    def test_satisfied_directions_have_inside_witness(self, xs):
+        # sufficiency at unit scale, with slack for boundary roundoff
+        u = UnitVector(np.array(xs))
+        res = criterion(u)
+        if res.product <= 2.0 - 1e-6:
+            rep = shadow(u, res.witness)
+            assert res.satisfied and rep.inside
+            assert rep.inf_norm <= 1.0 + 1e-12
+        elif res.product >= 2.0 + 1e-6:
+            rep = shadow(u, res.witness)
+            assert not res.satisfied and not rep.inside
+            assert rep.inf_norm >= 1.0 - 1e-12
 
     @given(coord_lists)
     @example([4.0] + [1.0] * 8)
