@@ -158,13 +158,19 @@ def _products_at_most(rows: np.ndarray, bound: float = 2.0) -> np.ndarray:
     """Whether ||r||_1 ||r||_inf <= bound, exactly, for each of T unit rows r,
     shape (T, n), by a filtered predicate (Shewchuk, DCG 18, 1997): the float
     product p is within about n 2^-53 p of the exact one, so where |p - bound|
-    exceeds twice that p decides, and Fractions decide the rest."""
+    exceeds twice that p decides, and the exact sum decides the rest: each
+    |x| is m 2^(e - 53) with an integer m < 2^53 (frexp), so the m of each
+    run of one e in sorted order add up exactly in Python ints, and only
+    the runs' sums become Fractions."""
     a = np.abs(rows)
     p = a.sum(axis=1) * a.max(axis=1)
     at_most = p <= bound
     for i in np.flatnonzero(np.abs(p - bound) <= p * (a.shape[1] * 2.0**-52)):
-        r = [Fraction(x) for x in a[i].tolist()]
-        at_most[i] = sum(r) * max(r) <= bound
+        m, e = np.frexp(np.sort(a[i]))
+        runs = np.flatnonzero(np.diff(e, prepend=e[0] - 1))
+        parts = np.add.reduceat(np.ldexp(m, 53).astype(np.int64).astype(object), runs)
+        total = sum(x * 2 ** Fraction(int(k) - 53) for x, k in zip(parts, e[runs]))
+        at_most[i] = total * Fraction(a[i].max()) <= bound
     return at_most
 
 

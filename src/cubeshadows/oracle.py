@@ -25,9 +25,10 @@ the tie rule's order.
 Halving: row 2^k - 1 - a of a half negates row a and its sum, so the sums
 of A and of B are closed under negation, and min |<eps, u>|, min |a + b|
 over their pairs, is min ||a| - |b|| over the sums of the rows whose
-leading sign is +1 (_sums), as min(|a + b|, |a - b|) = ||a| - |b||. A leaf
-of these sums is one matmul with the signs, exact in any order, FMA
-included, so only an exact zero's sign could change, which |.| drops.
+leading sign is +1 (_sums), as min(|a + b|, |a - b|) = ||a| - |b||. The
+sums of up to _WIDTH coordinates are one matmul with the signs, exact in
+any order, FMA included, so only an exact zero's sign could change, which
+|.| drops.
 Their int64 keys, |a| 2^50 and |b| 2^50 + 1, are 0 and 1 mod 4, as each
 |s| is a multiple of 2^-48. After one sort (_min_abs_sums), the nearest
 A-B pair is adjacent, or has an adjacent A-B pair between them whose gap
@@ -45,21 +46,31 @@ has a t that is zero, or t of both signs, so some t has fl(s t) <= 0, and
 below 1 (roughly, the criterion product below 2), it is the best norm,
 and every verdict takes that vertex, +1 first, with no search.
 
-Search: otherwise the kernel, _blocks, evaluates with the same formula
-only the pairs that can reach a sup-norm <= beta (_windows): inf, the
-dense pass, when every pair fits in one chunk of 2^BLOCK_BITS, else a
-bound of 1 or more at or above the best norm (_bound), so the minimum and
-all its ties survive. A chunk's tied vertices yield their smallest code,
-and a later chunk replaces it only with a smaller norm or code, so any
-chunk size gives the same verdict.
+Search: otherwise, unless the whole direction has few multisets of t
+(Classes), the kernel, _blocks, evaluates with the same formula only the
+pairs that can reach a sup-norm <= beta (_windows), for a bound beta of 1
+or more at or above the best norm (_bound), so the minimum and all its
+ties survive. A chunk's tied vertices yield their smallest code, and a
+later chunk replaces it only with a smaller norm or code, so any chunk
+size gives the same verdict. No pass is dense: half tables whose pairs
+fit in one chunk make no more multisets than that, which the whole
+table takes.
 
-Classes: the search builds each half table with only one row per
-distinct multiset of t (_class_table). Exact sums give equal multisets
-bit-identical (s, t_max, t_min), up to the sign of a zero that no norm or
-sum sees; each row carries the smallest row of the full half with its
-multiset, and as a code is a 2^|B| + b, the smallest code among tied class
-pairs is that of their smallest rows: the tie rule holds. maximizer(n)
-has about n rows per half instead of 2^(n/2).
+Classes: tables have only one row per distinct multiset of t
+(_class_table). Exact sums give equal multisets bit-identical (s, t_max,
+t_min), up to the sign of a zero that no norm or sum sees; each row
+carries the smallest row of the full table with its multiset. Where the
+whole direction has at most 2^BLOCK_BITS multisets, the product of c + 1
+over its classes of c equal nonzero magnitudes (_classes), one table over
+all n coordinates is the search: a row's smallest row is its vertex code,
+best_inf_norm is the least of the rows' norms by the kernel's formula,
+best_vertex the smallest code among the rows at that norm, and min
+|<eps, u>| the least |s|, which any_vertex_inside takes from the rows'
+sums alone (_class_sums). maximizer(n) has 2n rows: the large
+coordinate's 2 with the n rows of the n - 1 equal ones. Otherwise the
+search builds each half table so, and as a code is a 2^|B| + b, the
+smallest code among tied class pairs is that of their smallest rows: the
+tie rule holds.
 
 Exact rule: some vertex has an exact shadow sup-norm <= 1 exactly when
 min |<eps, uq>| = 0 or ||uq||_1 ||uq||_inf <= 2. Proof: if s = 0, the
@@ -75,6 +86,7 @@ round to 1 either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, islice
@@ -94,7 +106,8 @@ MAX_LIMIT = 36  # half tables of 2^18 rows: a run peaks below 80 MB
 BLOCK_BITS = 14
 _SLACK = 2.0**-50  # 8 unit roundoffs of float64
 _LEAF = 7  # a table of at most this many coordinates reads _SIGNS
-_SIGNS = 1.0 - 2.0 * ((np.arange(1 << _LEAF) >> np.arange(_LEAF)[::-1, None, None]) & 1)
+_WIDTH = 12  # and its sums alone, by one matmul, up to this many
+_SIGNS = 1.0 - 2.0 * ((np.arange(1 << _WIDTH) >> np.arange(_WIDTH)[::-1, None, None]) & 1)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -138,18 +151,19 @@ def _table(u: np.ndarray):
     (k, T, 1): row a sets coordinate j to -1 when bit (k-1-j) of a is set."""
     k = len(u)
     if k <= _LEAF:
-        t = _SIGNS[_LEAF - k :, :, : 1 << k] * u
+        t = _SIGNS[_WIDTH - k :, :, : 1 << k] * u
         return t.sum(0), t.max(0, initial=-np.inf), t.min(0, initial=np.inf)
     return _pair(_table(u[: k // 2]), _table(u[k // 2 :]))
 
 
 def _row_sums(u: np.ndarray, lead: bool) -> np.ndarray:
-    """The sums s of _table(u), shape (T, 2^k), a leaf's by one matmul; with
-    lead, only those of its first half of rows, whose leading sign is +1,
-    shape (T, 2^(k-1)), or the one sum 0 if k = 0."""
+    """The sums s of _table(u), shape (T, 2^k), by one matmul with the signs
+    up to _WIDTH coordinates, else as a pair of two halves; with lead,
+    only those of its first half of rows, whose leading sign is +1, shape
+    (T, 2^(k-1)), or the one sum 0 if k = 0."""
     k = len(u)
-    if k <= _LEAF:
-        return u[..., 0].T @ _SIGNS[_LEAF - k :, 0, : max(1 << k >> lead, 1)]
+    if k <= _WIDTH:
+        return u[..., 0].T @ _SIGNS[_WIDTH - k :, 0, : max(1 << k >> lead, 1)]
     return _pair((_row_sums(u[: k // 2], lead),), (_row_sums(u[k // 2 :], False),))[0]
 
 
@@ -182,25 +196,36 @@ def _sums(uq: np.ndarray, n_limit: int):
     return _row_sums(u[: n // 2], True), _row_sums(u[n // 2 :], True)
 
 
-def _class_table(u: np.ndarray):
-    """(s, t_max, t_min, row), each (1, rows), for one half u of a snapped
-    direction: one row per distinct multiset of t = eps u, and row the
-    smallest row of the full half table (_table) with that multiset.
-
-    The c coordinates of one magnitude m > 0 form a class: P, those with
-    u > 0, and N, in coordinate order. Its multisets are the counts p =
-    0..c of positive t: s = (2p - c) m, exact, t_max = m (-m if p = 0),
-    t_min = -m (m if p = c), and the smallest row negates the last |P| - p
-    of P if p <= |P|, else the last p - |P| of N. Zeros together are one
-    row, t = 0. Classes have disjoint bits and pair like quarters (_pair);
-    a half of nonzero, distinct magnitudes is the plain build."""
+def _classes(u: np.ndarray):
+    """The classes of the k coordinates u of a half or of the whole of one
+    snapped direction: for each magnitude |x|, the bits of P, its
+    coordinates with x > 0, and of N, those with x < 0, in coordinate order,
+    coordinate j having bit k-1-j as in _table; and the number of distinct
+    multisets of t = eps u, the rows of _class_table: the c + 1 counts of
+    positive t in a class of c coordinates, and one row for the zeros."""
     k, classes = len(u), {}
     for j, x in enumerate(u.tolist()):
         signs = classes.setdefault(abs(x), ([], []))
         if x:  # zeros stay a class of no signs: one row, t = +-0, no bit set
             signs[x < 0].append(1 << (k - 1 - j))
-    if len(classes) == k and 0.0 not in classes:
-        return (*_table(u[:, None, None]), np.arange(1 << k)[None])
+    return classes, math.prod(len(pos) + len(neg) + 1 for pos, neg in classes.values())
+
+
+def _class_table(u: np.ndarray, classes: dict):
+    """(s, t_max, t_min, row), each (1, rows), for the coordinates u of a
+    half or of the whole of one snapped direction, and their classes
+    (_classes): one row per distinct multiset of t = eps u, and row the
+    smallest row of the full table (_table) with that multiset, which for
+    the whole direction is the smallest vertex code.
+
+    The c coordinates of one magnitude m > 0 form a class: P and N. Its
+    multisets are the counts p = 0..c of positive t: s = (2p - c) m, exact,
+    t_max = m (-m if p = 0), t_min = -m (m if p = c), and the smallest row
+    negates the last |P| - p of P if p <= |P|, else the last p - |P| of N.
+    Zeros together are one row, t = 0. Classes have disjoint bits and pair
+    like quarters (_pair); nonzero, distinct magnitudes are the plain build."""
+    if len(classes) == len(u) and 0.0 not in classes:
+        return (*_table(u[:, None, None]), np.arange(1 << len(u))[None])
     tables = []
     for m, (pos, neg) in classes.items():
         c = len(pos) + len(neg)
@@ -213,14 +238,20 @@ def _class_table(u: np.ndarray):
     return reduce(_pair, tables)
 
 
-def _distinct_tables(uq: np.ndarray, n_limit: int):
+def _class_sums(classes: dict) -> np.ndarray:
+    """The sums s of the rows of _class_table, in no particular order:
+    (2p - c) m for p = 0..c in each class, added over the classes."""
+    sizes = ((m, len(pos) + len(neg)) for m, (pos, neg) in classes.items())
+    return reduce(np.add.outer, [np.arange(-c, c + 1, 2) * m for m, c in sizes])
+
+
+def _distinct_tables(uq: np.ndarray):
     """The tables of one snapped direction uq, shape (1, n), with one row
     per distinct multiset of t in each half (_class_table), B in order of
     s, and the row of the full half that each entry stands for."""
-    _check_limit(uq.shape[1], n_limit)
     h = uq.shape[1] // 2
     (*a, ia), (*b, ib) = (
-        [x[0] for x in _class_table(half)] for half in (uq[0, :h], uq[0, h:])
+        [x[0] for x in _class_table(v, _classes(v)[0])] for v in (uq[0, :h], uq[0, h:])
     )
     order = np.argsort(b[0])
     return (tuple(a), tuple(x[order] for x in b)), (ia, ib[order])
@@ -342,26 +373,19 @@ def _runs(start, stop, cap):
     return list(zip(i.tolist(), j.tolist(), start[i].tolist(), cols.tolist()))
 
 
-def _blocks(tables, beta=np.inf):
+def _blocks(tables, beta):
     """Yields ((A-rows, B-slab), shadow sup-norms of shape (A-rows, B-slab))
     for chunks of about 2^BLOCK_BITS vertices of one direction that hold
     every vertex whose sup-norm is <= beta. A-rows number rows of A and the
-    B-slab is a slice of B, in the tables as given. With beta = inf the pass
-    is dense: runs of A-rows of equal length, in order, each with all of B.
-    Otherwise B is in order of s (_distinct_tables), and each run pairs
-    with the slab that its rows' windows span."""
+    B-slab is a slice of B, which is in order of s (_distinct_tables): runs
+    of A-rows, in order of their windows' starts (_windows), each with the
+    slab that its rows' windows span (_runs)."""
     (sa, hia, loa), (sb, hib, lob) = tables
-    cap = 1 << BLOCK_BITS
-    if beta == np.inf:
-        rows, step = np.arange(len(sa)), max(1, cap // len(sb))
-        runs = [(i, i + step, 0, len(sb)) for i in range(0, len(rows), step)]
-    else:
-        start, stop = _windows(tables, beta)
-        rows = np.flatnonzero(stop > start)
-        rows = rows[np.argsort(start[rows], kind="stable")]
-        sa, hia, loa = (x[rows] for x in (sa, hia, loa))
-        runs = _runs(start[rows], stop[rows], cap)
-    for i, j, c0, c1 in runs:
+    start, stop = _windows(tables, beta)
+    rows = np.flatnonzero(stop > start)
+    rows = rows[np.argsort(start[rows], kind="stable")]
+    sa, hia, loa = (x[rows] for x in (sa, hia, loa))
+    for i, j, c0, c1 in _runs(start[rows], stop[rows], 1 << BLOCK_BITS):
         r, c = slice(i, j), slice(c0, c1)
         s = sa[r, None] + sb[c]
         hi = np.maximum(hia[r, None], hib[c])
@@ -393,22 +417,27 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
     if matched < 1.0:  # no zero coordinate: sign(uq) is a vertex, and inside
         best = Vertex(np.sign(uq[0]) * np.sign(uq[0, 0]))
         return _verdict(True, matched, best, _min_abs_sums(*_sums(uq, n_limit))[0])
-    tables, (ia, ib) = _distinct_tables(uq, n_limit)
-    (sa, _, _), (sb, _, _) = tables
-    # the dense pass (beta = inf) where every pair fits in one chunk of _blocks
-    beta = np.inf if len(sa) * len(sb) <= 1 << BLOCK_BITS else _bound(tables, matched)
-    w = u.n - u.n // 2
-    best_inf, best_code = np.inf, 1 << u.n
-    for (rows, slab), infs in _blocks(tables, beta):
-        low = infs.min()
-        rows = ia[rows]
-        if low > best_inf or (low == best_inf and int(rows.min()) << w > best_code):
-            continue
-        r, c = np.nonzero(infs == low)
-        code = int(((rows[r] << w) + ib[slab][c]).min())
-        if low < best_inf or code < best_code:
-            best_inf, best_code = float(low), code
-    min_abs_ip = _min_abs_sums(sa[None], sb[None])[0]
+    _check_limit(u.n, n_limit)
+    classes, multisets = _classes(uq[0])
+    if multisets <= 1 << BLOCK_BITS:  # one row per multiset, no pairs
+        s, hi, lo, codes = (x[0] for x in _class_table(uq[0], classes))
+        infs = np.maximum(np.abs(1.0 - s * hi), np.abs(1.0 - s * lo))
+        best_inf, min_abs_ip = infs.min(), np.abs(s).min()
+        best_code = int(codes[infs == best_inf].min())
+    else:
+        tables, (ia, ib) = _distinct_tables(uq)
+        w = u.n - u.n // 2
+        best_inf, best_code = np.inf, 1 << u.n
+        for (rows, slab), infs in _blocks(tables, _bound(tables, matched)):
+            low = infs.min()
+            rows = ia[rows]
+            if low > best_inf or (low == best_inf and int(rows.min()) << w > best_code):
+                continue
+            r, c = np.nonzero(infs == low)
+            code = int(((rows[r] << w) + ib[slab][c]).min())
+            if low < best_inf or code < best_code:
+                best_inf, best_code = float(low), code
+        min_abs_ip = _min_abs_sums(tables[0][0][None], tables[1][0][None])[0]
     inside = min_abs_ip == 0.0 or _products_at_most(uq)[0]
     return _verdict(inside, best_inf, _vertex_from_code(best_code, u.n), min_abs_ip)
 
@@ -454,11 +483,15 @@ def enumerate_shadows_naive(u: UnitVector, n_limit: int = 20) -> OracleVerdict:
 def any_vertex_inside(u: UnitVector) -> bool:
     """Boolean-only query, by the exact rule of the module docstring, with
     no search: O(n) where the sign-matched vertex is inside, else whether
-    min |<eps, u>| = 0."""
+    min |<eps, u>| = 0, over the sums of the multisets of t where they are
+    at most 2^BLOCK_BITS (_class_sums), else over the half sums."""
     _check_limit(u.n, DEFAULT_LIMIT)
     uq = _snap(u.coords[None])
     if _products_at_most(uq)[0]:
         return True
+    classes, multisets = _classes(uq[0])
+    if multisets <= 1 << BLOCK_BITS:
+        return bool(np.abs(_class_sums(classes)).min() == 0.0)
     return bool(_min_abs_sums(*_sums(uq, DEFAULT_LIMIT))[0] == 0.0)
 
 

@@ -1,13 +1,14 @@
 """Projection geometry, shadow norms, and the norm-product criterion."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from cubeshadows.errors import DimensionMismatch
+from cubeshadows.errors import MAX_DIMENSION, DimensionMismatch
 from cubeshadows.geometry import (
     UnitVector,
     _exact_l2,
@@ -23,6 +24,7 @@ from cubeshadows.geometry import (
     shadow,
     shadow_norm_closed_form,
 )
+from cubeshadows.measure import sample_sphere
 
 # coordinates that survive scaling by 2^-1000 exactly (no subnormals)
 scalable_lists = st.lists(
@@ -353,3 +355,35 @@ class TestCriterion:
         u = UnitVector(np.array(xs))
         res = criterion(u)
         assert res.satisfied == shadow(u, res.witness).inside
+
+
+class TestExactProduct:
+    def test_the_filter_band_matches_a_fraction_brute_force(self):
+        # a bound at the float product itself, or one ulp either side, puts
+        # each row in the filter's band, where the exact sum decides: sphere
+        # points up to n = 10^5, a subnormal coordinate, signed zeros, and
+        # (4, 1 x 8), whose float product is 2 where the exact one is not
+        rows = [sample_sphere(n, 3).coords for n in (3, 100, 1000, 100000)]
+        for v in ((1.0, 5e-324), (1.0, 1.0, -5e-324), (-0.0, 1.0), (0.0, -0.0, 1.0)):
+            rows.append(u_of(*v).coords)
+        rows.append(u_of(4.0, *[1.0] * 8).coords)
+        seen = set()
+        for row in rows:
+            a = [abs(Fraction(x)) for x in row.tolist()]
+            exact = sum(a) * max(a)
+            p = float(np.abs(row).sum() * np.abs(row).max())
+            for bound in (np.nextafter(p, 0.0), p, np.nextafter(p, 4.0), 2.0):
+                got = bool(_products_at_most(row[None], bound)[0])
+                assert got == (exact <= bound), (row.size, bound)
+                seen.add(got)
+        assert seen == {False, True}
+
+    def test_the_band_is_decided_quickly_at_the_dimension_cap(self):
+        # the exact sum adds integers per exponent, not one Fraction per
+        # coordinate, which took 9.2 s here
+        u = sample_sphere(MAX_DIMENSION, 3)
+        a = np.abs(u.coords)
+        p = float(a.sum() * a.max())
+        start = time.perf_counter()
+        _products_at_most(u.coords[None], p)
+        assert time.perf_counter() - start < 2.0

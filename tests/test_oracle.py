@@ -206,13 +206,24 @@ def full_tables(uq):
     return [oracle._table(u[: uq.shape[1] // 2]), oracle._table(u[uq.shape[1] // 2 :])]
 
 
+def pair_norms(tables, rows=slice(None)):
+    """The shadow sup-norm of every pair of the A-rows rows with every
+    B-row of one direction's half tables, shape (A-rows, B-rows), by the
+    kernel's formula: a dense pass over all pairs."""
+    (sa, hia, loa), (sb, hib, lob) = tables
+    s = sa[rows, None] + sb
+    hi, lo = np.maximum.outer(hia[rows], hib), np.minimum.outer(loa[rows], lob)
+    return np.maximum(np.abs(1.0 - s * hi), np.abs(1.0 - s * lo))
+
+
 class TestHalfTables:
     def test_tables_have_the_bytes_of_the_sign_matrix(self):
         # n = 1 has an empty A half; halves of 7 and 8 coordinates sit on
-        # either side of the leaf width; the -0.0 and zero coordinates
-        # make +-0 in t, and bytes tell +0 from -0, also in halves of one
-        # coordinate, whose leading-sign half is the one row t = u
-        # (sums start from +0, as numpy's do, so no sum is -0)
+        # either side of the leaf width of the t tables, and halves of 12
+        # and 13 on either side of the widest one-matmul sums; the -0.0 and
+        # zero coordinates make +-0 in t, and bytes tell +0 from -0, also in
+        # halves of one coordinate, whose leading-sign half is the one row
+        # t = u (sums start from +0, as numpy's do, so no sum is -0)
         rng = np.random.Generator(
             np.random.Philox(key=np.array([97, 8000], dtype=np.uint64))
         )
@@ -279,7 +290,7 @@ class TestPrunedKernel:
             uq = _snap(u.coords[None])
             matched = float(oracle._sign_matched(uq)[0])
             if matched >= 1.0:
-                tables, _ = oracle._distinct_tables(uq, 14)
+                tables, _ = oracle._distinct_tables(uq)
                 bound = oracle._bound(tables, matched)
                 assert ref.best_inf_norm <= bound <= matched, u.coords
         for bits in (3, 8, 14):
@@ -294,13 +305,15 @@ class TestPrunedKernel:
         # maximizer at n = 20, which has no inside vertex, nor where the
         # sign-matched vertex is inside, nor where a vertex orthogonal to u
         # is (6, 2 x 6, 1 x 4: product 2.0625); enumerate_shadows of a
-        # criterion-holding direction evaluates none, and of a failing one
-        # never runs the beta = inf pass
-        blocks, pairs = oracle._blocks, []
+        # criterion-holding direction evaluates none, and of a failing one,
+        # with 2^20 multisets of t, a finite bound and a small share of the
+        # pairs of its half tables, where a dense pass would take them all
+        blocks, pairs, dense = oracle._blocks, [], []
 
-        def pruned_only(tables, beta=np.inf):
-            if beta == np.inf:
-                raise AssertionError("dense pass")
+        def pruned_only(tables, beta):
+            assert beta < np.inf
+            (sa, _, _), (sb, _, _) = tables
+            dense.append(sa.size * sb.size)
             for chunk in blocks(tables, beta):
                 pairs.append(chunk[1].size)
                 yield chunk
@@ -318,14 +331,15 @@ class TestPrunedKernel:
         assert verdicts_equal(enumerate_shadows(u), refs[0])
         assert pairs == []
         assert verdicts_equal(enumerate_shadows(v), refs[1])
-        assert 0 < sum(pairs) < (1 << 20) // 64
+        assert dense == [1 << 20]
+        assert 0 < sum(pairs) < dense[0] // 64
 
     def test_windows_hold_every_pair_at_or_below_the_bound(self):
         # bounds equal to pair norms put pairs exactly on a window's edge
         for u in pruned_kernel_cases() + distinct_row_cases():
             uq = _snap(u.coords[None])
-            tables, _ = oracle._distinct_tables(uq, 14)
-            [(_, infs)] = oracle._blocks(tables)  # one chunk up to n = 14
+            tables, _ = oracle._distinct_tables(uq)
+            infs = pair_norms(tables)
             norms = np.unique(infs)
             for beta in norms[:: max(1, len(norms) // 16)]:
                 start, stop = oracle._windows(tables, float(beta))
@@ -345,7 +359,7 @@ class TestPrunedKernel:
         cases = pruned_kernel_cases() + [random_direction(20, 5100), maximizer(20)]
         for u in cases:
             uq = _snap(u.coords[None])
-            tables, _ = oracle._distinct_tables(uq, 20)
+            tables, _ = oracle._distinct_tables(uq)
             betas = [0.0, 1.0, 1.5, 3.0]
             seen = []
             for search in searches:
@@ -377,7 +391,7 @@ class TestDistinctRows:
         # class build keeps exactly those first rows, with that triple
         for u in pruned_kernel_cases() + distinct_row_cases():
             uq = _snap(u.coords[None])
-            (a, b), kept = oracle._distinct_tables(uq, 14)
+            (a, b), kept = oracle._distinct_tables(uq)
             assert (np.diff(b[0]) >= 0).all()
             halves = zip(reference_t(uq), reference_tables(uq), kept, (a, b))
             for t, ref, rows, table in halves:
@@ -392,18 +406,24 @@ class TestDistinctRows:
                     assert triple == [x[0, row] for x in ref], (u.coords, row)
 
     def test_tables_that_fit_one_chunk_run_no_search(self, monkeypatch):
-        # the dense chunk holds every pair that the pruned pass keeps, and
-        # min |s| needs no neighbour search
+        # half tables whose pairs fit in one chunk have no more multisets of
+        # t than that, so the whole-direction table decides: no half table,
+        # no pair and no neighbour search, and min |s| is that table's
         def searched(*_):
             raise AssertionError("search")
 
         cases = distinct_row_cases() + [maximizer(n) for n in range(2, 21)]
         refs = [enumerate_shadows_naive(u) for u in cases]
-        for name in ("_bound", "_windows", "_runs", "_nearest", "_search"):
+        for u in cases:
+            uq = _snap(u.coords[None])
+            (a, b), _ = oracle._distinct_tables(uq)
+            assert a[0].size * b[0].size <= 1 << oracle.BLOCK_BITS, u.coords
+            _, multisets = oracle._classes(uq[0])
+            assert multisets <= a[0].size * b[0].size, u.coords
+        names = ("_distinct_tables", "_blocks", "_bound", "_windows", "_runs")
+        for name in names + ("_nearest", "_search"):
             monkeypatch.setattr(oracle, name, searched)
         for u, ref in zip(cases, refs):
-            (a, b), _ = oracle._distinct_tables(_snap(u.coords[None]), 20)
-            assert a[0].size * b[0].size <= 1 << oracle.BLOCK_BITS, u.coords
             assert verdicts_equal(enumerate_shadows(u), ref), u.coords
             assert any_vertex_inside(u) == ref.exists_inside, u.coords
             assert min_abs_inner_product(u) == ref.min_abs_inner_product, u.coords
@@ -419,19 +439,25 @@ class TestDistinctRows:
         assert peak < 1 << 20, peak
 
     def test_the_maximizer_evaluates_one_pair_per_class_pair(self, monkeypatch):
-        # 2n sign classes: A has 2 (n/2) rows, B n/2 + 1, against the
-        # 2^24 vertices the verdict covers
-        blocks, pairs = oracle._blocks, []
+        # 2n sign classes: the large coordinate's 2 rows, each paired with
+        # the n rows of the n - 1 equal ones in one whole-direction table,
+        # against the 2^24 vertices the verdict covers
+        table, rows = oracle._class_table, []
 
-        def counted(tables, beta=np.inf):
-            for chunk in blocks(tables, beta):
-                pairs.append(chunk[1].size)
-                yield chunk
+        def counted(u, classes):
+            out = table(u, classes)
+            sizes = sorted(len(pos) + len(neg) for pos, neg in classes.values())
+            rows.append((len(u), sizes, out[0].size))
+            return out
 
-        monkeypatch.setattr(oracle, "_blocks", counted)
+        def searched(*_):
+            raise AssertionError("search")
+
+        monkeypatch.setattr(oracle, "_class_table", counted)
+        monkeypatch.setattr(oracle, "_blocks", searched)
         v = enumerate_shadows(maximizer(24))
         assert v.vertices_checked == 1 << 24
-        assert 0 < sum(pairs) < 1 << 12
+        assert rows == [(24, [1, 23], 48)]
 
     def test_the_maximizer_up_to_the_ceiling_matches_its_sign_classes(self):
         # a vertex of maximizer(n) is the sign e of the large coordinate and
@@ -473,6 +499,77 @@ class TestDistinctRows:
                 assert not any_vertex_inside(u), n
 
 
+class TestWholeDirectionTable:
+    def test_routes_on_either_side_of_the_multiset_threshold(self, monkeypatch):
+        # at BLOCK_BITS 3: classes of 3 and 1 equal magnitudes make 4 x 2 = 8
+        # multisets of t, the whole-direction table; of 2 and 2, 3 x 3 = 9,
+        # the half tables and the windowed search. A zero is one more class
+        # of one row, and leaves the sign-matched norm at 1, so the search
+        # runs; without zeros these 4-vectors are settled by the sign lemma
+        routes = {
+            (3.0, 3.0, 3.0, 1.0): None,
+            (3.0, 3.0, 1.0, 1.0): None,
+            (3.0, 0.0, 3.0, 3.0, 1.0): "whole",
+            (-3.0, 3.0, 0.0, 3.0, -1.0, -0.0): "whole",
+            (0.0, 3.0, 3.0, 1.0, 1.0): "halves",
+            (3.0, -1.0, 0.0, 1.0, -3.0, 0.0): "halves",
+        }
+        table, distinct, taken = oracle._class_table, oracle._distinct_tables, []
+
+        def whole(u, classes):
+            if len(u) == taken[-1][0]:
+                taken[-1][1].add("whole")
+            return table(u, classes)
+
+        def halves(uq):
+            taken[-1][1].add("halves")
+            return distinct(uq)
+
+        monkeypatch.setattr(oracle, "_class_table", whole)
+        monkeypatch.setattr(oracle, "_distinct_tables", halves)
+        for v, route in routes.items():
+            u = u_of(*v)
+            ref = enumerate_shadows_naive(u)
+            for bits in (3, 8, 14):
+                monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
+                taken.append((u.n, set()))
+                assert verdicts_equal(enumerate_shadows(u), ref), (v, bits)
+                assert any_vertex_inside(u) == ref.exists_inside, (v, bits)
+                assert min_abs_inner_product(u) == ref.min_abs_inner_product
+                want = {"whole"} if route and bits > 3 else {route} - {None}
+                assert taken[-1][1] == want, (v, bits)
+
+    def test_class_sums_are_the_sums_of_the_class_rows(self):
+        # any_vertex_inside reads min |s| from _class_sums alone: the sums
+        # of the rows of the whole-direction table, one per multiset, whose
+        # least |s| is that of every vertex
+        for u in pruned_kernel_cases() + distinct_row_cases():
+            uq = _snap(u.coords)
+            classes, multisets = oracle._classes(uq)
+            s = oracle._class_table(uq, classes)[0][0]
+            sums = oracle._class_sums(classes)
+            assert sums.size == s.size == multisets, u.coords
+            assert np.sort(sums, axis=None).tolist() == np.sort(s).tolist(), u.coords
+            assert np.abs(sums).min() == min_abs_inner_product(u), u.coords
+
+    def test_the_maximizer_builds_no_half_table_up_to_the_ceiling(self, monkeypatch):
+        # 2n multisets of t: enumerate_shadows builds no half table and runs
+        # no pair, and any_vertex_inside takes min |s| from the sums of the
+        # multisets (n >= 10; below, the sign-matched vertex is inside)
+        def searched(*_):
+            raise AssertionError("half tables")
+
+        for name in ("_distinct_tables", "_blocks"):
+            monkeypatch.setattr(oracle, name, searched)
+        for n in range(2, 37):
+            v = enumerate_shadows(maximizer(n), oracle.MAX_LIMIT)
+            assert v.vertices_checked == 1 << n, n
+            assert v.exists_inside == (n < 10), n
+        monkeypatch.setattr(oracle, "_sums", searched)
+        for n in range(1, 29):
+            assert any_vertex_inside(maximizer(n)) is (n < 10), n
+
+
 def boundary_family_cases():
     """Directions (a, 1, ..., 1) with m ones and a^2 - m a + 2 m = 0, whose
     criterion product is 2: (4, 1 x 8), (3, 1 x 9) and (6, 1 x 9), with a
@@ -498,11 +595,9 @@ class TestSignLemma:
             uq = _snap(u.coords[None])
             tables = [[x[0] for x in half] for half in full_tables(uq)]
             (_, hia, loa), (_, hib, lob) = tables
-            for (rows, slab), infs in oracle._blocks(tables):
-                hi = np.maximum(hia[rows, None], hib[slab])
-                lo = np.minimum(loa[rows, None], lob[slab])
-                mixed = (lo <= 0.0) & (hi >= 0.0)
-                assert (infs[mixed] >= 1.0).all(), u.coords
+            hi, lo = np.maximum.outer(hia, hib), np.minimum.outer(loa, lob)
+            mixed = (lo <= 0.0) & (hi >= 0.0)
+            assert (pair_norms(tables)[mixed] >= 1.0).all(), u.coords
             norm = oracle._sign_matched(uq)[0]
             if norm < 1.0:
                 below += 1
@@ -534,23 +629,24 @@ class TestSignLemma:
         assert min_abs_inner_product(u) == ref.min_abs_inner_product
 
     def test_the_closed_form_matches_the_dense_pass_beyond_the_reference(self):
-        # the naive reference stops at n = 20; here the dense pass over all
-        # 2^n pairs gives the best norm and its smallest tied code, and the
-        # merged sort of the half sums gives min |s|
+        # the naive reference stops at n = 20; here a dense pass over all
+        # 2^n pairs, 256 A-rows at a time, gives the best norm and its
+        # smallest tied code, and the merged sort of the half sums min |s|
         for n in (22, 24):
             w = n - n // 2
             for seed in (0, 2, 3):
                 u = sample_sphere(n, seed)
                 uq = _snap(u.coords[None])
                 assert oracle._sign_matched(uq)[0] < 1.0, (n, seed)
-                tables, (ia, ib) = oracle._distinct_tables(uq, n)
+                tables, (ia, ib) = oracle._distinct_tables(uq)
                 abs_ip = float(oracle._min_abs_sums(*oracle._sums(uq, n))[0])
                 best_inf, best_code = np.inf, None
-                for (rows, slab), infs in oracle._blocks(tables):
+                for i in range(0, len(ia), 256):
+                    infs = pair_norms(tables, slice(i, i + 256))
                     low = infs.min()
                     if low <= best_inf:
                         r, c = np.nonzero(infs == low)
-                        code = int(((ia[rows][r] << w) + ib[slab][c]).min())
+                        code = int(((ia[i:][r] << w) + ib[c]).min())
                         if low < best_inf or code < best_code:
                             best_inf, best_code = float(low), code
                 v = enumerate_shadows(u)
@@ -983,7 +1079,9 @@ class TestBooleanShortcut:
     def test_the_rule_builds_no_class_table_and_runs_no_search(self, monkeypatch):
         # the maximizers (no vertex inside), the distinct-row cases and
         # criterion-failing sphere points at n = 20..28: the sign-matched
-        # test, else one sort of the leading-sign half sums
+        # test, else min |s| over the sums of the multisets of t where they
+        # are few, as for the maximizers, or one sort of the leading-sign
+        # half sums
         failing = [
             u
             for n in range(20, 29)
@@ -998,7 +1096,7 @@ class TestBooleanShortcut:
         def searched(*_):
             raise AssertionError("search")
 
-        for name in ("_distinct_tables", "_blocks", "_search"):
+        for name in ("_class_table", "_distinct_tables", "_blocks", "_search"):
             monkeypatch.setattr(oracle, name, searched)
         for u, ref in zip(cases, refs):
             assert any_vertex_inside(u) is ref, u.coords
