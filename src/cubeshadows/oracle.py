@@ -26,9 +26,10 @@ Halving: row 2^k - 1 - a of a half negates row a and its sum, so the sums
 of A and of B are closed under negation, and min |<eps, u>|, min |a + b|
 over their pairs, is min ||a| - |b|| over the sums of the rows whose
 leading sign is +1 (_sums), as min(|a + b|, |a - b|) = ||a| - |b||. The
-sums of up to _WIDTH coordinates are one matmul with the signs, exact in
-any order, FMA included, so only an exact zero's sign could change, which
-|.| drops.
+callers that do not search take min |<eps, u>| so (_min_abs_sums); the
+search takes it from its nearest pairs (Search). The sums of up to _WIDTH
+coordinates are one matmul with the signs, exact in any order, FMA
+included, so only an exact zero's sign could change, which |.| drops.
 Their int64 keys, |a| 2^50 and |b| 2^50 + 1, are 0 and 1 mod 4, as each
 |s| is a multiple of 2^-48. After one sort (_min_abs_sums), the nearest
 A-B pair is adjacent, or has an adjacent A-B pair between them whose gap
@@ -47,14 +48,16 @@ below 1 (roughly, the criterion product below 2), it is the best norm,
 and every verdict takes that vertex, +1 first, with no search.
 
 Search: otherwise, unless the whole direction has few multisets of t
-(Classes), the kernel, _blocks, evaluates with the same formula only the
-pairs that can reach a sup-norm <= beta (_windows), for a bound beta of 1
-or more at or above the best norm (_bound), so the minimum and all its
-ties survive. A chunk's tied vertices yield their smallest code, and a
-later chunk replaces it only with a smaller norm or code, so any chunk
-size gives the same verdict. No pass is dense: half tables whose pairs
-fit in one chunk make no more multisets than that, which the whole
-table takes.
+(Classes), both half tables are put in order of s. For each A-row, the two
+B-rows on either side of -a (_nearest) hold its least |a + b|, so these
+pairs give min |<eps, u>| exactly and, by the kernel's formula (_norms), a
+bound beta of 1 or more at or above the best norm (_bound). The kernel,
+_blocks, evaluates with the same formula only the pairs that can reach a
+sup-norm <= beta (_windows), so the minimum and all its ties survive. A
+chunk's tied vertices yield their smallest code, and a later chunk
+replaces it only with a smaller norm or code, so any chunk size gives the
+same verdict. No pass is dense: half tables whose pairs fit in one chunk
+make no more multisets than that, which the whole table takes.
 
 Classes: tables have only one row per distinct multiset of t
 (_class_table). Exact sums give equal multisets bit-identical (s, t_max,
@@ -105,7 +108,7 @@ DEFAULT_LIMIT = 28
 MAX_LIMIT = 36  # half tables of 2^18 rows: a run peaks below 80 MB
 BLOCK_BITS = 14
 _SLACK = 2.0**-50  # 8 unit roundoffs of float64
-_LEAF = 7  # a table of at most this many coordinates reads _SIGNS
+_LEAF = 10  # a table of at most this many coordinates reads _SIGNS
 _WIDTH = 12  # and its sums alone, by one matmul, up to this many
 _SIGNS = 1.0 - 2.0 * ((np.arange(1 << _WIDTH) >> np.arange(_WIDTH)[::-1, None, None]) & 1)
 
@@ -247,21 +250,21 @@ def _class_sums(classes: dict) -> np.ndarray:
 
 def _distinct_tables(uq: np.ndarray):
     """The tables of one snapped direction uq, shape (1, n), with one row
-    per distinct multiset of t in each half (_class_table), B in order of
-    s, and the row of the full half that each entry stands for."""
+    per distinct multiset of t in each half (_class_table), both in order
+    of s, and the row of the full half that each entry stands for."""
     h = uq.shape[1] // 2
-    (*a, ia), (*b, ib) = (
-        [x[0] for x in _class_table(v, _classes(v)[0])] for v in (uq[0, :h], uq[0, h:])
-    )
-    order = np.argsort(b[0])
-    return (tuple(a), tuple(x[order] for x in b)), (ia, ib[order])
+    halves = []
+    for v in (uq[0, :h], uq[0, h:]):
+        *table, rows = (x[0] for x in _class_table(v, _classes(v)[0]))
+        order = np.argsort(table[0])
+        halves.append((tuple(x[order] for x in table), rows[order]))
+    return tuple(zip(*halves))
 
 
 def _min_abs_sums(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     """min ||a| - |b|| over sa[i] x sb[i] for each row i of two stacks of
     sums, exactly, from one sort of their keys and one min of their odd
-    gaps (the module's Halving): min |<eps, u>| for _sums' halves, or for
-    _distinct_tables' sums."""
+    gaps (the module's Halving): min |<eps, u>| for _sums' halves."""
     keys = np.concatenate((sa, sb), axis=1)
     keys = np.ldexp(np.abs(keys, out=keys), QUANT_BITS + 2, out=keys).astype(np.int64)
     keys[:, sa.shape[1] :] |= 1
@@ -274,46 +277,43 @@ def _min_abs_sums(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     return np.ldexp((gaps.min(1) + (1 << 62) + 1) >> 2, -QUANT_BITS)
 
 
-def _search(sb: np.ndarray, keys: np.ndarray, side: str = "left") -> np.ndarray:
-    """The indexes of np.searchsorted(sb, keys, side), found for the keys in
-    ascending order and put back in the keys' order: for the thousands of
-    distinct unsorted keys of _windows and _nearest, half the time or less,
-    the sort included."""
-    order = np.argsort(keys)
-    found = np.empty(keys.shape, np.intp)
-    found[order] = np.searchsorted(sb, keys[order], side)
-    return found
-
-
 def _nearest(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     """The indexes j, shape (2, len(sa)), of the two rows of the sorted sb
     on either side of each -a, a in sa, clipped to sb: the B-rows whose sums
-    bring s nearest 0, for _bound (min |s| itself is _min_abs_sums')."""
-    return np.clip(_search(sb, -sa) - np.array([[1], [0]]), 0, len(sb) - 1)
+    bring s nearest 0, which hold each a's least |a + b|. With A in order of
+    s, the keys -a are sorted, and numpy starts each search from the last."""
+    return np.clip(np.searchsorted(sb, -sa) - np.array([[1], [0]]), 0, len(sb) - 1)
+
+
+def _norms(s: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """The kernel's formula, max(|1 - s hi|, |1 - s lo|): the sup-norms of
+    vertices with sums s and extreme t hi and lo (the module's Tables), in
+    place in hi and lo, which the caller owns: new arrays made _blocks 15%
+    slower at n = 20..24 and the n = 36 search peak 8 MiB higher."""
+    for t in (hi, lo):
+        np.abs(np.subtract(1.0, np.multiply(s, t, out=t), out=t), out=t)
+    return np.maximum(hi, lo, out=hi)
 
 
 def _sign_matched(uq: np.ndarray) -> np.ndarray:
     """The shadow sup-norms of the sign-matched vertices eps = sign(u) of T
     snapped directions uq, shape (T, n), by the kernel's operations: t = |u|
-    and s their sum."""
+    and s their sum, exact in any order."""
     t = np.abs(uq)
-    total = t.sum(axis=1)  # exact in any order
-    hi, lo = (np.abs(1.0 - total * x) for x in (t.max(axis=1), t.min(axis=1)))
-    return np.maximum(hi, lo)
+    return _norms(t.sum(axis=1), t.max(axis=1), t.min(axis=1))
 
 
-def _bound(tables, matched: float) -> float:
-    """An upper bound on the best sup-norm of one direction whose
-    sign-matched vertex has the norm matched: the smallest norm, by the
-    kernel's operations, of that vertex and of each A-row paired with the
-    B-rows (_nearest) whose sums bring s nearest 0. Each is the norm of a
-    vertex, so the bound is at or above the best norm."""
+def _bound(tables, matched: float):
+    """(min |<eps, u>|, beta) of one direction whose sign-matched vertex
+    has the norm matched, from each A-row paired with the B-rows (_nearest)
+    whose sums bring s nearest 0: their least |s|, exactly, and beta the
+    smallest norm (_norms) of them and of that vertex, each the norm of a
+    vertex, so an upper bound at or above the best norm."""
     (sa, hia, loa), (sb, hib, lob) = tables
     j = _nearest(sa, sb)
     s = sa + sb[j]
-    hi, lo = np.maximum(hia, hib[j]), np.minimum(loa, lob[j])
-    norms = np.maximum(np.abs(1.0 - s * hi), np.abs(1.0 - s * lo))
-    return min(matched, float(norms.min()))
+    norms = _norms(s, np.maximum(hia, hib[j]), np.minimum(loa, lob[j]))
+    return np.abs(s).min(), min(matched, float(norms.min()))
 
 
 def _windows(tables, beta):
@@ -343,7 +343,7 @@ def _windows(tables, beta):
     lo, hi = np.clip(lo, -bound, bound), np.clip(hi, -bound, bound)
     lo = lo - sa - (np.abs(lo) + np.abs(sa)) * _SLACK
     hi = hi - sa + (np.abs(hi) + np.abs(sa)) * _SLACK
-    return _search(sb, lo, "left"), _search(sb, hi, "right")
+    return np.searchsorted(sb, lo, "left"), np.searchsorted(sb, hi, "right")
 
 
 def _runs(start, stop, cap):
@@ -387,12 +387,9 @@ def _blocks(tables, beta):
     sa, hia, loa = (x[rows] for x in (sa, hia, loa))
     for i, j, c0, c1 in _runs(start[rows], stop[rows], 1 << BLOCK_BITS):
         r, c = slice(i, j), slice(c0, c1)
-        s = sa[r, None] + sb[c]
         hi = np.maximum(hia[r, None], hib[c])
         lo = np.minimum(loa[r, None], lob[c])
-        for t in (hi, lo):  # |1 - s t| in place
-            np.abs(np.subtract(1.0, np.multiply(s, t, out=t), out=t), out=t)
-        yield (rows[r], c), np.maximum(hi, lo, out=hi)
+        yield (rows[r], c), _norms(sa[r, None] + sb[c], hi, lo)
 
 
 def _verdict(inside, best_inf, best_vertex: Vertex, min_abs_ip) -> OracleVerdict:
@@ -421,14 +418,15 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
     classes, multisets = _classes(uq[0])
     if multisets <= 1 << BLOCK_BITS:  # one row per multiset, no pairs
         s, hi, lo, codes = (x[0] for x in _class_table(uq[0], classes))
-        infs = np.maximum(np.abs(1.0 - s * hi), np.abs(1.0 - s * lo))
+        infs = _norms(s, hi, lo)
         best_inf, min_abs_ip = infs.min(), np.abs(s).min()
         best_code = int(codes[infs == best_inf].min())
     else:
         tables, (ia, ib) = _distinct_tables(uq)
         w = u.n - u.n // 2
         best_inf, best_code = np.inf, 1 << u.n
-        for (rows, slab), infs in _blocks(tables, _bound(tables, matched)):
+        min_abs_ip, beta = _bound(tables, matched)
+        for (rows, slab), infs in _blocks(tables, beta):
             low = infs.min()
             rows = ia[rows]
             if low > best_inf or (low == best_inf and int(rows.min()) << w > best_code):
@@ -437,7 +435,6 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
             code = int(((rows[r] << w) + ib[slab][c]).min())
             if low < best_inf or code < best_code:
                 best_inf, best_code = float(low), code
-        min_abs_ip = _min_abs_sums(tables[0][0][None], tables[1][0][None])[0]
     inside = min_abs_ip == 0.0 or _products_at_most(uq)[0]
     return _verdict(inside, best_inf, _vertex_from_code(best_code, u.n), min_abs_ip)
 
