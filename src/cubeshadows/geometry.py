@@ -93,11 +93,15 @@ class Vertex:
     signs: np.ndarray
 
     def __post_init__(self):
-        s = np.array(self.signs, dtype=np.int8)
+        # the values are checked before the cast, which would wrap 257 or
+        # truncate 1.5 to a sign, and by comparison, which cannot overflow
+        # (count_nonzero is a third of the cost of .all() on a short row)
+        s = np.array(self.signs)
         if s.ndim != 1 or s.size < 1:
             raise DimensionMismatch("expected a 1-d sign vector with n >= 1")
-        if not np.all(np.abs(s) == 1):
+        if np.count_nonzero((s == 1) | (s == -1)) != s.size:
             raise ValueError("vertex entries must be +1 or -1")
+        s = s.astype(np.int8, copy=False)
         s.flags.writeable = False
         object.__setattr__(self, "signs", s)
 
@@ -165,7 +169,8 @@ def _products_at_most(rows: np.ndarray, bound: float = 2.0) -> np.ndarray:
     a = np.abs(rows)
     p = a.sum(axis=1) * a.max(axis=1)
     at_most = p <= bound
-    for i in np.flatnonzero(np.abs(p - bound) <= p * (a.shape[1] * 2.0**-52)):
+    near = np.abs(p - bound) <= p * (a.shape[1] * 2.0**-52)
+    for i in np.flatnonzero(near) if near.any() else ():
         m, e = np.frexp(np.sort(a[i]))
         runs = np.flatnonzero(np.diff(e, prepend=e[0] - 1))
         parts = np.add.reduceat(np.ldexp(m, 53).astype(np.int64).astype(object), runs)

@@ -4,11 +4,11 @@ Exactness: the direction is first snapped to a dyadic grid with 48
 fractional bits, which moves each coordinate by at most 2^-49. Every
 signed sum <eps, u> is then a multiple of 2^-48 of size at most sqrt(n) +
 n 2^-49, below 6.0001 up to MAX_LIMIT, exact in float64 in any summation
-order. (Sums stay exact up to n = 1023, and the keys of min |<eps, u>|
-below 2^62, as its odd-gap rule needs, while |s| < 2^12: DEFAULT_LIMIT
-bounds running time and MAX_LIMIT the size of the half tables, not
-exactness.) Every split and the naive reference therefore give
-bit-identical verdicts.
+order. (Sums stay exact up to n = 1023, and the keys of min |<eps, u>|,
+|s| 2^50 (+ 1), are integers below 2^53, exact in float64, while |s| < 8,
+up to n = 63: DEFAULT_LIMIT bounds running time and MAX_LIMIT the size of
+the half tables, not exactness.) Every split and the naive reference
+therefore give bit-identical verdicts.
 
 Tables: the enumeration meets in the middle (Horowitz and Sahni, JACM
 1974). With t_k = eps_k u_k and s = sum t_k, |eps_k - s u_k| = |1 - s t_k|,
@@ -30,41 +30,48 @@ callers that do not search take min |<eps, u>| so (_min_abs_sums); the
 search takes it from its nearest pairs (Search). The sums of up to _WIDTH
 coordinates are one matmul with the signs, exact in any order, FMA
 included, so only an exact zero's sign could change, which |.| drops.
-Their int64 keys, |a| 2^50 and |b| 2^50 + 1, are 0 and 1 mod 4, as each
-|s| is a multiple of 2^-48. After one sort (_min_abs_sums), the nearest
-A-B pair is adjacent, or has an adjacent A-B pair between them whose gap
-is no larger. Adjacent keys of one half differ by a multiple of 4, and of
-opposite halves by d = 4 D + 1, A first (a tie |a| == |b| sorts A first),
-or 4 D - 1, B first, for D = ||a| - |b|| in units of 2^-48: the odd gaps
-are the A-B pairs', and (d + 1) >> 2 = D either way. Subtracting 2^62 from
-each odd gap puts them below every even gap in their own order, so one
-plain min finds the nearest pair.
+Their keys, |a| 2^50 and |b| 2^50 + 1, are 0 and 1 mod 4, as each |s| is a
+multiple of 2^-48; they are sorted as float64, which holds them exactly
+(Exactness), then cast to int64. After one sort (_min_abs_sums), the
+nearest A-B pair is adjacent, or has an adjacent A-B pair between them
+whose gap is no larger. Adjacent keys of one half differ by a multiple of
+4, and of opposite halves by d = 4 D + 1, A first (a tie |a| == |b| sorts
+A first), or 4 D - 1, B first, for D = ||a| - |b|| in units of 2^-48: the
+odd gaps are the A-B pairs', and (d + 1) >> 2 = D either way. Subtracting
+2^62 from each odd gap puts them below every even gap in their own order,
+so one plain min finds the nearest pair.
 
 Sign lemma: only the sign-matched vertex eps = sign(u), and its negation,
 which ties it bit for bit, can have a sup-norm below 1. Any other vertex
 has a t that is zero, or t of both signs, so some t has fl(s t) <= 0, and
-|1 - s t| >= 1 bit for bit. Where that vertex's norm (_sign_matched) is
-below 1 (roughly, the criterion product below 2), it is the best norm,
-and every verdict takes that vertex, +1 first, with no search.
+|1 - s t| >= 1 bit for bit. Where that vertex's norm is below 1
+(roughly, the criterion product below 2), it is the best norm, and every
+verdict takes that vertex, +1 first, with no search. _sign_matched gives
+the norm by the kernel's formula on the coordinates as Python floats,
+which round as numpy does, at a quarter of the cost of numpy calls on one
+row; the vertex is built from its sign bits, as a code's is (_vertex).
 
 Search: otherwise, unless the whole direction has few multisets of t
-(Classes), both half tables are put in order of s. For each A-row, the two
-B-rows on either side of -a (_nearest) hold its least |a + b|, so these
-pairs give min |<eps, u>| exactly and, by the kernel's formula (_norms), a
-bound beta of 1 or more at or above the best norm (_bound). The kernel,
-_blocks, evaluates with the same formula only the pairs that can reach a
-sup-norm <= beta (_windows), so the minimum and all its ties survive. A
-chunk's tied vertices yield their smallest code, and a later chunk
-replaces it only with a smaller norm or code, so any chunk size gives the
-same verdict. No pass is dense: half tables whose pairs fit in one chunk
-make no more multisets than that, which the whole table takes.
+(Classes), both half tables are put in order of s. Each A-row is paired
+with the B-row just above -a (_nearest): as both tables are closed under
+negation, and the pair (-a, -b) has the norm of (a, b) bit for bit, the
+row just below -a pairs with a as the row just above a pairs with -a. So
+these pairs give min |<eps, u>| exactly and, by the kernel's formula
+(_norms), a bound beta of 1 or more at or above the best norm (_bound).
+The kernel, _blocks, evaluates with the same formula only the pairs that
+can reach a sup-norm <= beta (_windows), so the minimum and all its ties
+survive. A chunk's tied vertices yield their smallest code, and a later
+chunk replaces it only with a smaller norm or code, so any chunk size
+gives the same verdict. No pass is dense: half tables whose pairs fit in
+one chunk make no more multisets than that, which the whole table takes.
 
 Classes: tables have only one row per distinct multiset of t
 (_class_table). Exact sums give equal multisets bit-identical (s, t_max,
 t_min), up to the sign of a zero that no norm or sum sees; each row
 carries the smallest row of the full table with its multiset. Where the
 whole direction has at most 2^BLOCK_BITS multisets, the product of c + 1
-over its classes of c equal nonzero magnitudes (_classes), one table over
+over its classes of c equal nonzero magnitudes (_classes, one dict lookup
+per coordinate of the floats that _sign_matched reads), one table over
 all n coordinates is the search: a row's smallest row is its vertex code,
 best_inf_norm is the least of the rows' norms by the kernel's formula,
 best_vertex the smallest code among the rows at that norm, and min
@@ -80,11 +87,13 @@ min |<eps, uq>| = 0 or ||uq||_1 ||uq||_inf <= 2. Proof: if s = 0, the
 shadow of eps is eps, of norm 1. If s > 0 (else negate eps), |1 - s t_k|
 <= 1 means 0 <= s t_k <= 2, so no t_k is negative: eps is sign(u) off the
 zero coordinates, s = ||uq||_1, and the norm is <= 1 exactly when s max
-|uq_k| <= 2, which geometry._products_at_most decides exactly, as it does
-for geometry.shadow on the stored floats. No tolerance decides a flag,
-and no flag needs a search. best_inf_norm, the kernel's float, is below
-1 only if some vertex is inside and above 1 only if none is, but may
-round to 1 either way.
+|uq_k| <= 2. The sign-matched norm decides that off 1, as rounding is
+monotone: below 1 every fl(s t_k) < 2, so s t_k < 2, and above 1 some s
+t_k > 2. At a norm of exactly 1, geometry._products_at_most decides it
+exactly, as it does for geometry.shadow on the stored floats. No
+tolerance decides a flag, and no flag needs a search. best_inf_norm, the
+kernel's float, is below 1 only if some vertex is inside and above 1 only
+if none is, but may round to 1 either way.
 """
 
 from __future__ import annotations
@@ -139,14 +148,22 @@ class AgreementStats:
 
 
 def _snap(coords: np.ndarray) -> np.ndarray:
-    q = np.ldexp(np.rint(np.ldexp(coords, QUANT_BITS)), -QUANT_BITS)
+    # a power-of-two scale is exact, as ldexp's: nothing over- or underflows
+    q = np.rint(coords * 2.0**QUANT_BITS) * 2.0**-QUANT_BITS
     q.flags.writeable = False
     return q
 
 
+def _vertex(negated: np.ndarray) -> Vertex:
+    """The vertex from its sign bits, bool or 0/1: -1 where set, else +1."""
+    return Vertex(np.where(negated, -1, 1))
+
+
 def _vertex_from_code(code: int, n: int) -> Vertex:
-    bits = (code >> np.arange(n - 1, -1, -1, dtype=np.int64)) & 1
-    return Vertex((1 - 2 * bits).astype(np.int8))
+    """The vertex of a code, the tie rule's order: coordinate j is -1 when
+    bit n-1-j of code is set, as in _table."""
+    data = np.frombuffer(code.to_bytes((n + 7) // 8, "big"), np.uint8)
+    return _vertex(np.unpackbits(data)[-n:])
 
 
 def _table(u: np.ndarray):
@@ -199,18 +216,20 @@ def _sums(uq: np.ndarray, n_limit: int):
     return _row_sums(u[: n // 2], True), _row_sums(u[n // 2 :], True)
 
 
-def _classes(u: np.ndarray):
-    """The classes of the k coordinates u of a half or of the whole of one
-    snapped direction: for each magnitude |x|, the bits of P, its
+def _classes(xs: list):
+    """The classes of the k coordinates xs, floats, of a half or of the whole
+    of one snapped direction: for each magnitude |x|, the bits of P, its
     coordinates with x > 0, and of N, those with x < 0, in coordinate order,
     coordinate j having bit k-1-j as in _table; and the number of distinct
     multisets of t = eps u, the rows of _class_table: the c + 1 counts of
     positive t in a class of c coordinates, and one row for the zeros."""
-    k, classes = len(u), {}
-    for j, x in enumerate(u.tolist()):
-        signs = classes.setdefault(abs(x), ([], []))
+    bit, classes = 1 << len(xs), {}
+    for x in xs:
+        bit >>= 1
+        # setdefault alone would build two lists for every coordinate
+        signs = classes.get(abs(x)) or classes.setdefault(abs(x), ([], []))
         if x:  # zeros stay a class of no signs: one row, t = +-0, no bit set
-            signs[x < 0].append(1 << (k - 1 - j))
+            signs[x < 0].append(bit)
     return classes, math.prod(len(pos) + len(neg) + 1 for pos, neg in classes.values())
 
 
@@ -255,7 +274,7 @@ def _distinct_tables(uq: np.ndarray):
     h = uq.shape[1] // 2
     halves = []
     for v in (uq[0, :h], uq[0, h:]):
-        *table, rows = (x[0] for x in _class_table(v, _classes(v)[0]))
+        *table, rows = (x[0] for x in _class_table(v, _classes(v.tolist())[0]))
         order = np.argsort(table[0])
         halves.append((tuple(x[order] for x in table), rows[order]))
     return tuple(zip(*halves))
@@ -264,51 +283,60 @@ def _distinct_tables(uq: np.ndarray):
 def _min_abs_sums(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     """min ||a| - |b|| over sa[i] x sb[i] for each row i of two stacks of
     sums, exactly, from one sort of their keys and one min of their odd
-    gaps (the module's Halving): min |<eps, u>| for _sums' halves."""
+    gaps (the module's Halving): min |<eps, u>| for _sums' halves. The keys
+    are sorted as float64, which holds them exactly and sorts them faster
+    than int64, and only then become integers for their gaps' parity."""
     keys = np.concatenate((sa, sb), axis=1)
-    keys = np.ldexp(np.abs(keys, out=keys), QUANT_BITS + 2, out=keys).astype(np.int64)
-    keys[:, sa.shape[1] :] |= 1
+    np.multiply(np.abs(keys, out=keys), 2.0 ** (QUANT_BITS + 2), out=keys)
+    keys[:, sa.shape[1] :] += 1.0
     keys.sort(axis=1)
+    keys = keys.astype(np.int64)
     gaps = keys[:, 1:] - keys[:, :-1]
     # the spent keys take the parity: a new array would pass 8 MiB at n = 36
     odd = np.bitwise_and(gaps, 1, out=keys[:, 1:])
     odd <<= 62
     gaps -= odd
-    return np.ldexp((gaps.min(1) + (1 << 62) + 1) >> 2, -QUANT_BITS)
+    return ((gaps.min(1) + (1 << 62) + 1) >> 2) * 2.0**-QUANT_BITS
 
 
 def _nearest(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
-    """The indexes j, shape (2, len(sa)), of the two rows of the sorted sb
-    on either side of each -a, a in sa, clipped to sb: the B-rows whose sums
-    bring s nearest 0, which hold each a's least |a + b|. With A in order of
-    s, the keys -a are sorted, and numpy starts each search from the last."""
-    return np.clip(np.searchsorted(sb, -sa) - np.array([[1], [0]]), 0, len(sb) - 1)
+    """The index j of the row of the sorted sb just above each -a, a in sa,
+    clipped to sb. Both tables are closed under negation, and the pair (-a,
+    -b) has the norm of (a, b) bit for bit, so the row below -a, paired with
+    a, is the row above a, paired with -a: these pairs hold the least |a + b|
+    and the least norm of either. With A in order of s, the keys -a are
+    sorted, and numpy starts each search from the last."""
+    return np.clip(np.searchsorted(sb, -sa), 0, len(sb) - 1)
 
 
 def _norms(s: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """The kernel's formula, max(|1 - s hi|, |1 - s lo|): the sup-norms of
     vertices with sums s and extreme t hi and lo (the module's Tables), in
     place in hi and lo, which the caller owns: new arrays made _blocks 15%
-    slower at n = 20..24 and the n = 36 search peak 8 MiB higher."""
+    slower at n = 20..24 and the n = 36 search peak 8 MiB higher. On one
+    row its seven calls cost more than the work, so _sign_matched applies
+    the formula to Python floats, with the same bits."""
     for t in (hi, lo):
         np.abs(np.subtract(1.0, np.multiply(s, t, out=t), out=t), out=t)
     return np.maximum(hi, lo, out=hi)
 
 
-def _sign_matched(uq: np.ndarray) -> np.ndarray:
-    """The shadow sup-norms of the sign-matched vertices eps = sign(u) of T
-    snapped directions uq, shape (T, n), by the kernel's operations: t = |u|
-    and s their sum, exact in any order."""
-    t = np.abs(uq)
-    return _norms(t.sum(axis=1), t.max(axis=1), t.min(axis=1))
+def _sign_matched(xs: list) -> float:
+    """The shadow sup-norm of the sign-matched vertex eps = sign(u) of one
+    snapped direction, its coordinates xs as floats: t = |u|, and s their
+    sum, exact in any order, in _norms' formula on Python floats, whose
+    operations round as numpy's do, at a quarter of their cost on one row."""
+    t = [abs(x) for x in xs]
+    s = sum(t)
+    return max(abs(1.0 - s * max(t)), abs(1.0 - s * min(t)))
 
 
 def _bound(tables, matched: float):
     """(min |<eps, u>|, beta) of one direction whose sign-matched vertex
-    has the norm matched, from each A-row paired with the B-rows (_nearest)
-    whose sums bring s nearest 0: their least |s|, exactly, and beta the
-    smallest norm (_norms) of them and of that vertex, each the norm of a
-    vertex, so an upper bound at or above the best norm."""
+    has the norm matched, from each A-row paired with the B-row just above
+    -a (_nearest): their least |s|, exactly, and beta the smallest norm
+    (_norms) of them and of that vertex, each the norm of a vertex, so an
+    upper bound at or above the best norm."""
     (sa, hia, loa), (sb, hib, lob) = tables
     j = _nearest(sa, sb)
     s = sa + sb[j]
@@ -410,12 +438,13 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
     pattern (+1 sorts before -1), at any BLOCK_BITS. n_limit may not exceed
     MAX_LIMIT."""
     uq = _snap(u.coords[None])
-    matched = float(_sign_matched(uq)[0])
+    xs = uq[0].tolist()
+    matched = _sign_matched(xs)
     if matched < 1.0:  # no zero coordinate: sign(uq) is a vertex, and inside
-        best = Vertex(np.sign(uq[0]) * np.sign(uq[0, 0]))
+        best = _vertex(np.signbit(uq[0]) ^ (xs[0] < 0))
         return _verdict(True, matched, best, _min_abs_sums(*_sums(uq, n_limit))[0])
     _check_limit(u.n, n_limit)
-    classes, multisets = _classes(uq[0])
+    classes, multisets = _classes(xs)
     if multisets <= 1 << BLOCK_BITS:  # one row per multiset, no pairs
         s, hi, lo, codes = (x[0] for x in _class_table(uq[0], classes))
         infs = _norms(s, hi, lo)
@@ -435,7 +464,7 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
             code = int(((rows[r] << w) + ib[slab][c]).min())
             if low < best_inf or code < best_code:
                 best_inf, best_code = float(low), code
-    inside = min_abs_ip == 0.0 or _products_at_most(uq)[0]
+    inside = min_abs_ip == 0.0 or (matched == 1.0 and _products_at_most(uq)[0])
     return _verdict(inside, best_inf, _vertex_from_code(best_code, u.n), min_abs_ip)
 
 
@@ -484,9 +513,11 @@ def any_vertex_inside(u: UnitVector) -> bool:
     at most 2^BLOCK_BITS (_class_sums), else over the half sums."""
     _check_limit(u.n, DEFAULT_LIMIT)
     uq = _snap(u.coords[None])
-    if _products_at_most(uq)[0]:
+    xs = uq[0].tolist()
+    matched = _sign_matched(xs)
+    if matched < 1.0 or (matched == 1.0 and _products_at_most(uq)[0]):
         return True
-    classes, multisets = _classes(uq[0])
+    classes, multisets = _classes(xs)
     if multisets <= 1 << BLOCK_BITS:
         return bool(np.abs(_class_sums(classes)).min() == 0.0)
     return bool(_min_abs_sums(*_sums(uq, DEFAULT_LIMIT))[0] == 0.0)

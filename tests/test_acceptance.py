@@ -55,7 +55,8 @@ def test_criterion_1_directions_match_the_naive_enumeration():
         trials = set(rng.choice(2000, 64, replace=False).tolist())
         if n >= 11:
             uq = oracle._snap(_unit_rows(np.stack(list(_draws(n, 101, range(2000))))))
-            trials.update(np.flatnonzero(oracle._sign_matched(uq) >= 1.0).tolist())
+            rows = enumerate(uq.tolist())
+            trials.update(t for t, row in rows if oracle._sign_matched(row) >= 1.0)
         for t in sorted(trials):
             u = cs.sample_sphere(n, 101, index=t)
             got, ref = enumerate_shadows(u), enumerate_shadows_naive(u, 14)

@@ -146,6 +146,25 @@ class TestVertex:
         with pytest.raises(ValueError):
             Vertex(np.array([2, 1], dtype=np.int8))
 
+    def test_entries_are_checked_before_the_int8_cast(self):
+        # an int8 cast maps 1.5 and -1.9 to signs and wraps 257 to 1, and
+        # 127 * 127 wraps to 1 in int8: each is rejected, not rounded
+        bad = [
+            np.array([1.5, -1.0]),
+            [1.0, -1.9],
+            np.array([257, -1]),
+            np.array([127, 1], dtype=np.int8),
+            np.array([0, -1], dtype=np.int8),
+            np.array([-1.0, np.nan]),
+        ]
+        for signs in bad:
+            with pytest.raises(ValueError):
+                Vertex(signs)
+        for signs in ([1, -1], np.array([1.0, -1.0]), np.array([-1, 1], np.int64)):
+            v = Vertex(signs)
+            assert v.signs.dtype == np.int8 and v.signs.tolist() == list(signs)
+            assert not v.signs.flags.writeable
+
 
 class TestNorms:
     def test_frozen_values(self):

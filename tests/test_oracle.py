@@ -1,9 +1,11 @@
 """Exhaustive enumeration against the closed-form criterion."""
 
 import bisect
+import hashlib
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import astuple
 from fractions import Fraction
 from itertools import product as sign_patterns
 
@@ -256,7 +258,8 @@ class TestHalfTables:
         # its array of t = eps u alone would take 36 MiB; sample_sphere(36,
         # 7) is decided by its sign-matched vertex and (36, 1), with that
         # vertex's norm at 1.23, by the search, whose norms are computed in
-        # place in the tables they read (36.0 MiB; 44.0 MiB with new arrays)
+        # place in the tables they read, for one neighbour of each -a (30.3
+        # MiB; 36.0 MiB with both neighbours, 44.0 MiB with new arrays)
         for u in (maximizer(36), sample_sphere(36, 7), sample_sphere(36, 1)):
             tracemalloc.start()
             try:
@@ -265,7 +268,7 @@ class TestHalfTables:
             finally:
                 tracemalloc.stop()
             assert peak < 64 << 20, (u.coords[:2], peak)
-        assert peak <= 40 << 20, peak  # sample_sphere(36, 1), the search
+        assert peak <= 32 << 20, peak  # sample_sphere(36, 1), the search
 
     def test_min_abs_at_the_ceiling_sorts_only_the_leading_sign_halves(self):
         # sample_sphere(36, 7) is decided by its sign-matched vertex, so its
@@ -290,7 +293,7 @@ class TestPrunedKernel:
         assert 0 < outside < len(refs) - outside
         for u, ref in zip(cases, refs):  # min |s| and the bound of the search
             uq = _snap(u.coords[None])
-            matched = float(oracle._sign_matched(uq)[0])
+            matched = oracle._sign_matched(uq[0].tolist())
             if matched >= 1.0:
                 tables, _ = oracle._distinct_tables(uq)
                 min_abs, bound = oracle._bound(tables, matched)
@@ -359,7 +362,7 @@ class TestPrunedKernel:
             for seed in (1, 5):
                 u = sample_sphere(n, seed)
                 uq = _snap(u.coords[None])
-                assert oracle._sign_matched(uq)[0] >= 1.0, (n, seed)
+                assert oracle._sign_matched(uq[0].tolist()) >= 1.0, (n, seed)
                 want = oracle._min_abs_sums(*oracle._sums(uq, oracle.MAX_LIMIT))[0]
                 v = enumerate_shadows(u, oracle.MAX_LIMIT)
                 assert v.min_abs_inner_product == want, (n, seed)
@@ -413,7 +416,7 @@ class TestDistinctRows:
             uq = _snap(u.coords[None])
             (a, b), _ = oracle._distinct_tables(uq)
             assert a[0].size * b[0].size <= 1 << oracle.BLOCK_BITS, u.coords
-            _, multisets = oracle._classes(uq[0])
+            _, multisets = oracle._classes(uq[0].tolist())
             assert multisets <= a[0].size * b[0].size, u.coords
         names = ("_distinct_tables", "_blocks", "_bound", "_windows", "_runs")
         for name in names + ("_nearest",):
@@ -540,7 +543,7 @@ class TestWholeDirectionTable:
         # least |s| is that of every vertex
         for u in pruned_kernel_cases() + distinct_row_cases():
             uq = _snap(u.coords)
-            classes, multisets = oracle._classes(uq)
+            classes, multisets = oracle._classes(uq.tolist())
             s = oracle._class_table(uq, classes)[0][0]
             sums = oracle._class_sums(classes)
             assert sums.size == s.size == multisets, u.coords
@@ -593,7 +596,7 @@ class TestSignLemma:
             hi, lo = np.maximum.outer(hia, hib), np.minimum.outer(loa, lob)
             mixed = (lo <= 0.0) & (hi >= 0.0)
             assert (pair_norms(tables)[mixed] >= 1.0).all(), u.coords
-            norm = oracle._sign_matched(uq)[0]
+            norm = oracle._sign_matched(uq[0].tolist())
             if norm < 1.0:
                 below += 1
                 ref = enumerate_shadows_naive(u)
@@ -632,7 +635,7 @@ class TestSignLemma:
             for seed in (0, 2, 3):
                 u = sample_sphere(n, seed)
                 uq = _snap(u.coords[None])
-                assert oracle._sign_matched(uq)[0] < 1.0, (n, seed)
+                assert oracle._sign_matched(uq[0].tolist()) < 1.0, (n, seed)
                 tables, (ia, ib) = oracle._distinct_tables(uq)
                 abs_ip = float(oracle._min_abs_sums(*oracle._sums(uq, n))[0])
                 best_inf, best_code = np.inf, None
@@ -660,6 +663,63 @@ class TestSignLemma:
             assert any_vertex_inside(u) == ref.exists_inside, u.coords
             assert min_abs_inner_product(u) == ref.min_abs_inner_product, u.coords
         assert 0 < below < len(cases)
+
+
+def golden_corpus():
+    """The golden digest's directions: two sample_sphere seeds at n = 1..24,
+    integer vectors in [-3, 3]^n, criterion-failing ones with a coordinate
+    times 4 (the half-table search), maximizer(1..36) and the boundary
+    family."""
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([97, 9900], dtype=np.uint64))
+    )
+    for n in range(1, 25):
+        for seed in (0, 2**63 + 5):
+            yield from (sample_sphere(n, seed, i) for i in range(8))
+        for _ in range(2):
+            v = rng.integers(-3, 4, size=n).astype(np.float64)
+            v[0] = 3.0
+            yield UnitVector(v)
+    for n in range(12, 25):
+        for i in range(3):
+            v = sample_sphere(n, 1, i).coords.copy()
+            v[i] *= 4.0
+            yield UnitVector(v)
+    yield from (maximizer(n) for n in range(1, 37))
+    yield from boundary_family_cases()
+
+
+class TestGoldenDigest:
+    # sha256 of every OracleVerdict field, any_vertex_inside and
+    # min_abs_inner_product on golden_corpus(), and of agreement_sweep's
+    # tallies at n = 1..14, one line per input. Verdicts do not depend on
+    # BLOCK_BITS, so each split gives the one digest. A change that moves a
+    # verdict updates DIGEST and lists the inputs whose lines changed
+    DIGEST = "73340781e4bbb4cdfb88abe1950ef63119b36c78cfc19322f75440c7069aa2fa"
+
+    @staticmethod
+    def lines():
+        for u in golden_corpus():
+            v = enumerate_shadows(u, oracle.MAX_LIMIT)
+            signs = "".join("+" if x > 0 else "-" for x in v.best_vertex.signs.tolist())
+            fields = [
+                v.exists_inside, signs, v.best_inf_norm.hex(), v.vertices_checked,
+                v.orthogonal_vertex_found, v.min_abs_inner_product.hex(),
+            ]
+            if u.n <= oracle.DEFAULT_LIMIT:
+                fields += [any_vertex_inside(u), min_abs_inner_product(u).hex()]
+            yield " ".join(map(str, fields))
+        for n in range(1, 15):
+            for seed in (0, 7):
+                yield " ".join(map(str, astuple(agreement_sweep(n, 40, seed))))
+
+    def test_verdicts_match_the_committed_digest(self, monkeypatch):
+        for bits in (14, 3, 8):
+            monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
+            lines = list(self.lines())
+            assert len(lines) == 753 + 28
+            digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            assert digest == self.DIGEST, bits
 
 
 def integer_inside(u):
@@ -818,9 +878,9 @@ class TestStackedRows:
 
     def test_packed_keys_are_exact_at_their_edges(self):
         # the largest key, |s| 2^50 + 1 with |s| at most sqrt(n) + n 2^-49,
-        # is an integer below 2^53 up to the ceiling: float64 holds it, its
-        # int64 conversion is exact, and it is far below the 2^62 that the
-        # odd-gap rule needs
+        # is an integer below 2^53 up to the ceiling: float64 holds it, so
+        # the keys sort exactly as float64, their int64 conversion is exact,
+        # and they are far below the 2^62 that the odd-gap rule needs
         top = math.sqrt(oracle.MAX_LIMIT) + oracle.MAX_LIMIT * 2.0**-49
         assert top * 2.0 ** (oracle.QUANT_BITS + 2) + 1 < 2**53
         unit = 2.0**-oracle.QUANT_BITS
@@ -863,6 +923,40 @@ class TestStackedRows:
         got = oracle._min_abs_sums(*sums)
         assert got.tolist() == [math.ldexp(int(w), -oracle.QUANT_BITS) for w in want]
 
+    def test_keys_at_the_ceiling_match_an_integer_brute_force(self):
+        # the keys |s| 2^50 (+ 1) are sorted as float64 and must be exact
+        # integers: at n = 36 the all-equal direction has the largest |s|,
+        # 6, and min |s| = 0, as does (3, 3, 2, 2, 1, 1) repeated, whose
+        # equal pairs cancel; maximizer(36) has min |s| > 0. Each half's
+        # sums are built in Python ints, as sets, over its sign patterns
+        def half_sums(units):
+            sums = {0}
+            for c in units:
+                sums = {x + c for x in sums} | {x - c for x in sums}
+            return sums
+
+        tiled = np.tile([3.0, 3.0, 2.0, 2.0, 1.0, 1.0], 6)
+        cases = [np.full(36, 1.0), maximizer(36).coords, tiled]
+        tops = []
+        for v in cases:
+            uq = _snap(UnitVector(v).coords[None])
+            units = [int(c) for c in np.ldexp(uq[0], oracle.QUANT_BITS)]
+            a, b = half_sums(units[:18]), sorted(half_sums(units[18:]))
+            top = max(a) + b[-1]
+            assert top * 4 + 1 < 2**53, v  # each key, |s| 2^50 (+ 1), below 2^53
+            brute = min(
+                abs(x + b[j])
+                for x in a
+                for i in [bisect.bisect_left(b, -x)]
+                for j in (max(i - 1, 0), min(i, len(b) - 1))
+            )
+            got = oracle._min_abs_sums(*oracle._sums(uq, oracle.MAX_LIMIT))
+            assert got.tolist() == [math.ldexp(brute, -oracle.QUANT_BITS)], v
+            assert (brute == 0) == (v is not cases[1]), v
+            tops.append(top)
+        # the all-equal |s| is 6 within the snap's 36 half units of 2^-48
+        assert abs(tops[0] - (6 << oracle.QUANT_BITS)) <= 18 and max(tops) == tops[0]
+
     def test_only_gaps_between_the_halves_count(self):
         # each half repeats a sum, as the maximizer's halves do, so sorted
         # keys of one half lie 0 apart while min |<eps, u>| > 0; then gaps of
@@ -894,14 +988,19 @@ class TestStackedRows:
             assert brute[0] > 0.0, n
 
     def test_stacked_sign_matched_norms_are_each_rows_norm(self):
-        # the sum of |u| is exact in any order, so a stack has each row's bits
+        # the sum of |u| is exact in any order, so the kernel's formula
+        # (_norms) on a stack has each row's bits, and _sign_matched, that
+        # formula on the Python floats of one row, has them too
         cases = pruned_kernel_cases() + distinct_row_cases() + boundary_family_cases()
         for uq in stacks_by_dimension(cases + [maximizer(n) for n in range(1, 37)]):
             want = []
             for t in np.abs(uq):
                 total = float(t.sum())
                 want.append(max(abs(1.0 - total * float(x)) for x in (t.max(), t.min())))
-            assert oracle._sign_matched(uq).tolist() == want, uq
+            t = np.abs(uq)
+            stacked = oracle._norms(t.sum(axis=1), t.max(axis=1), t.min(axis=1))
+            assert stacked.tolist() == want, uq
+            assert [oracle._sign_matched(row) for row in uq.tolist()] == want, uq
 
 
 class TestVerdictContents:
@@ -1154,7 +1253,7 @@ class TestAgreementSweep:
             for t in range(trials):
                 u = sample_sphere(n, seed, index=t)
                 open_trials += bool(
-                    oracle._sign_matched(_snap(u.coords[None]))[0] >= 1.0
+                    oracle._sign_matched(_snap(u.coords).tolist()) >= 1.0
                     and min_abs_inner_product(u) > 0.0
                 )
         blocks, searched = oracle._blocks, []
