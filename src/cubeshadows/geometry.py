@@ -20,16 +20,12 @@ import numpy as np
 from .errors import DimensionMismatch
 
 
-def _row_fsum(x: np.ndarray) -> np.ndarray:
-    # fsum is exactly rounded, so a row's sum cannot depend on coordinate
-    # order or signs. Rows lie along the last axis.
-    rows = x.reshape(-1, x.shape[-1]).tolist()
-    return np.array([math.fsum(r) for r in rows]).reshape(x.shape[:-1])
-
-
 def _exact_l2(v: np.ndarray) -> np.ndarray:
-    # exactly rounded row norms, so normalization is permutation-invariant
-    return np.sqrt(_row_fsum(v * v))
+    # exactly rounded norms of the rows along the last axis, kept as an axis
+    # of length 1 to broadcast: fsum cannot depend on coordinate order or
+    # signs, so normalization is permutation-invariant
+    rows = (v * v).reshape(-1, v.shape[-1]).tolist()
+    return np.sqrt(np.array([math.fsum(r) for r in rows]).reshape(*v.shape[:-1], 1))
 
 
 def _pow2_scaled(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -45,7 +41,7 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     Euclidean norm, after its own power-of-two scaling: a stack of T rows
     gives the bits of T UnitVectors."""
     w, _ = _pow2_scaled(v)
-    return w / _exact_l2(w)[..., None]
+    return w / _exact_l2(w)
 
 
 def l2_norm(v: np.ndarray) -> float:
@@ -54,7 +50,7 @@ def l2_norm(v: np.ndarray) -> float:
     beyond the float64 range."""
     w, e = _pow2_scaled(np.asarray(v, dtype=np.float64))
     with np.errstate(over="ignore"):
-        return float(np.ldexp(_exact_l2(w), e[0]))
+        return float(np.ldexp(_exact_l2(w), e)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,9 +69,10 @@ class UnitVector:
         v = np.array(self.coords, dtype=np.float64)
         if v.ndim != 1 or v.size < 1:
             raise DimensionMismatch("expected a 1-d vector with n >= 1")
-        if not np.all(np.isfinite(v)):
+        m = np.abs(v).max()  # nan or inf exactly when some entry is
+        if not math.isfinite(m):
             raise ValueError("coordinates must be finite")
-        if not v.any():
+        if not m:
             raise ValueError("cannot normalize the zero vector")
         v = _unit_rows(v)
         v.flags.writeable = False
@@ -145,7 +142,7 @@ def norms(u: UnitVector) -> Norms:
     last bit.
     """
     a = np.abs(u.coords)
-    return Norms(float(_row_fsum(a)), float(_exact_l2(u.coords)), float(a.max()))
+    return Norms(math.fsum(a.tolist()), float(_exact_l2(u.coords)[0]), float(a.max()))
 
 
 def criterion_product(u: UnitVector) -> float:

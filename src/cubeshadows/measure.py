@@ -4,9 +4,10 @@ Sampling uses one Philox stream per sample, keyed by (seed, sample
 index), so results are bit-identical no matter how the work is chunked
 or ordered. Philox is counter-based: a draw is fixed by its key and
 counter alone, so every draw (_draws, for sample_sphere, estimate, the
-oracle's agreement_sweep and the starts of extremal.numerical_max) goes
-through one generator per thread, made on first use and re-keyed to each
-stream, which gives the bits of a fresh one at a fraction of the cost.
+starts of extremal.numerical_max and the oracle's agreement_sweep, which
+draws each group of trials into one array) goes through one generator per
+thread, made on first use and re-keyed to each stream, which gives the bits
+of a fresh one at a fraction of the cost.
 The criterion product is scale invariant, so statistics are computed on
 raw Gaussian vectors without normalizing each one.
 """

@@ -296,7 +296,7 @@ def _min_abs_sums(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     odd = np.bitwise_and(gaps, 1, out=keys[:, 1:])
     odd <<= 62
     gaps -= odd
-    return ((gaps.min(1) + (1 << 62) + 1) >> 2) * 2.0**-QUANT_BITS
+    return ((gaps.min(1) + (1 << 62 | 1)) >> 2) * 2.0**-QUANT_BITS
 
 
 def _nearest(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
@@ -547,9 +547,12 @@ def agreement_sweep(n: int, trials: int, seed: int) -> AgreementStats:
     the others count agreements of criterion with the exact inside verdict,
     bit for bit those of enumerate_shadows. Disagreements are counted, not
     raised. n, seed and the cap are checked before any draw, with no trials
-    too. Trials go in groups of 2^BLOCK_BITS >> |B| stacked rows, and none
-    is searched: a kept trial is inside exactly when its sign-matched vertex
-    is (the module's exact rule).
+    too. Trials go in groups of 2^BLOCK_BITS >> |B| rows, each drawn into one
+    array and normalized in one pass, and none is searched: one exact-product
+    call over the group's stored rows and their snapped rows decides the
+    criterion on the first and, as a kept trial is inside exactly when its
+    sign-matched vertex is (the module's exact rule), the verdict on the
+    second.
     """
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")
@@ -558,15 +561,17 @@ def agreement_sweep(n: int, trials: int, seed: int) -> AgreementStats:
     agreements = skips = disagreements = satisfied_count = 0
     group = max(1, (1 << BLOCK_BITS) >> (n - n // 2))
     for _ in range(0, trials, group):
-        us = _unit_rows(np.stack(list(islice(draws, group))))
+        us = _unit_rows(np.array(list(islice(draws, group))))
         uq = _snap(us)
         kept = _min_abs_sums(*_sums(uq, DEFAULT_LIMIT)) > 0.0
-        satisfied = _products_at_most(us) & kept
-        agree = (satisfied == _products_at_most(uq)) & kept
-        skips += len(us) - int(kept.sum())
-        satisfied_count += int(satisfied.sum())
-        agreements += int(agree.sum())
-        disagreements += int((kept & ~agree).sum())
+        stored, snapped = _products_at_most(np.concatenate((us, uq))).reshape(2, -1)
+        # count_nonzero gives numpy ints: each would be an object of its own
+        decided = int(np.count_nonzero(kept))
+        agree = int(np.count_nonzero((stored == snapped) & kept))
+        skips += len(us) - decided
+        satisfied_count += int(np.count_nonzero(stored & kept))
+        agreements += agree
+        disagreements += decided - agree
     return AgreementStats(
         n, trials, seed, agreements, skips, disagreements, satisfied_count
     )

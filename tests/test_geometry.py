@@ -82,10 +82,12 @@ class TestUnitVector:
             u_of(0.0, 0.0)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            u_of(1.0, float("nan"))
-        with pytest.raises(ValueError):
-            u_of(1.0, float("inf"))
+        # one max |v| decides both checks: nan or inf among zeros is not
+        # finite, rather than a zero vector
+        nan, inf = float("nan"), float("inf")
+        for coords in ((1.0, nan), (1.0, inf), (0.0, nan), (-inf, 0.0), (nan, -inf)):
+            with pytest.raises(ValueError, match="finite"):
+                u_of(*coords)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(DimensionMismatch):

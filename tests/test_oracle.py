@@ -18,6 +18,7 @@ from cubeshadows.extremal import maximizer
 from cubeshadows.geometry import (
     UnitVector,
     Vertex,
+    _products_at_most,
     canonical_vertex,
     criterion,
     shadow,
@@ -1333,6 +1334,36 @@ class TestAgreementSweep:
         monkeypatch.setattr(measure, "_gaussian", flaky)
         for n in (3, 9, 13):
             assert agreement_sweep(n, 7, 21) == self.reference(n, 7, 21), n
+
+    def test_stored_and_snapped_products_split_within_one_group(self, monkeypatch):
+        # trials 0 and 2 are maximizer(9), whose stored product is just above
+        # 2 and whose snapped product is just below it; at BLOCK_BITS 14 the
+        # five trials are one group, whose stored and snapped rows go through
+        # one product call, so halves out of line would move the tallies
+        draw, m = measure._gaussian, maximizer(9).coords
+
+        def planted(n, seed, index, retry, gen=None):
+            return m.copy() if index in (0, 2) else draw(n, seed, index, retry, gen)
+
+        monkeypatch.setattr(measure, "_gaussian", planted)
+        stored = UnitVector(m).coords[None]
+        assert _products_at_most(stored)[0] != _products_at_most(_snap(stored))[0]
+        ref = self.reference(9, 5, 3)
+        for bits in (3, 14):
+            monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
+            got = agreement_sweep(9, 5, 3)
+            assert got == ref, bits
+            assert got.disagreements > 0, bits
+
+    def test_tallies_are_python_ints(self, monkeypatch):
+        # numpy counts would print and hash as ints do, but each would be an
+        # object of its own where small ints are shared
+        for bits in (3, 14):
+            monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
+            for n in (1, 8, 14):
+                for trials in (0, 1, 300):
+                    fields = astuple(agreement_sweep(n, trials, 4))
+                    assert [type(x) for x in fields] == [int] * 7, (bits, n, trials)
 
     def test_dimension_is_checked_before_anything_is_drawn(self):
         for n in (0, -4):
