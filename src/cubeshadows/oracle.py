@@ -57,13 +57,16 @@ with the B-row just above -a (_nearest): as both tables are closed under
 negation, and the pair (-a, -b) has the norm of (a, b) bit for bit, the
 row just below -a pairs with a as the row just above a pairs with -a. So
 these pairs give min |<eps, u>| exactly and, by the kernel's formula
-(_norms), a bound beta of 1 or more at or above the best norm (_bound).
-The kernel, _blocks, evaluates with the same formula only the pairs that
-can reach a sup-norm <= beta (_windows), so the minimum and all its ties
-survive. A chunk's tied vertices yield their smallest code, and a later
-chunk replaces it only with a smaller norm or code, so any chunk size
-gives the same verdict. No pass is dense: half tables whose pairs fit in
-one chunk make no more multisets than that, which the whole table takes.
+(_norms), a bound beta at or above the best norm (_bound). Its domain: a
+searched direction has a sign-matched norm of 1 or more, so by the sign
+lemma beta >= 1, and n >= 2, as the one coordinate +-1 of n = 1 has the
+norm 0, so neither half is empty. The kernel, _blocks, evaluates with
+the same formula only the pairs that can reach a sup-norm <= beta
+(_windows), so the minimum and all its ties survive. A chunk's tied
+vertices yield their smallest code, and the least (norm, code) over the
+chunks wins, so any chunk size gives the same verdict. No pass is dense:
+half tables whose pairs fit in one chunk make no more multisets than
+that, which the whole table takes.
 
 Classes: tables have only one row per distinct multiset of t
 (_class_table). Exact sums give equal multisets bit-identical (s, t_max,
@@ -347,28 +350,28 @@ def _bound(tables, matched: float):
 def _windows(tables, beta):
     """The range [start, stop) of B-rows, in order of s, that each A-row of
     one direction can pair with to reach a shadow sup-norm <= beta, found
-    by binary search (the sorted-list trick of Horowitz and Sahni).
+    by binary search (the sorted-list trick of Horowitz and Sahni), for
+    beta >= 1 and n >= 2, the search's domain (the module's Search).
 
     The sup-norm of a vertex is at least |1 - s t| for each of its own t_k,
     bit for bit, hence for t = t_max and t = t_min of its A-row. So s t lies
     in [1 - beta, 1 + beta]: s lies in an interval, and sb in that interval
     shifted by -sa. The interval is widened by _SLACK, relative to the sizes
     involved, which covers the roundings of |1 - s t|, of its ends and of
-    the shift: the filter drops no pair whose norm is <= beta. A t of zero
-    (or +-inf, the empty half) bounds nothing unless it excludes everything.
-    A row whose interval is empty or misses the sums of B gets start >= stop.
+    the shift: the filter drops no pair whose norm is <= beta. The widened
+    beta b is above 1, so 1 - b < 0 < 1 + b and every interval holds s = 0;
+    a zero t, of either sign, gives the ends -inf and +inf, which bound
+    nothing, so it needs no mask. No half is empty, so every t is finite. A
+    row whose interval misses the sums of B gets start >= stop.
     """
     (sa, hia, loa), (sb, _, _) = tables
     b = beta + (1.0 + beta) * _SLACK
-    bound = np.abs(sa).max() + max(-sb[0], sb[-1]) + 1.0  # beyond every |s|
-    lo, hi = -bound, bound
+    lo, hi = -np.inf, np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in (hia, loa):
             e0, e1 = (1.0 - b) / t, (1.0 + b) / t
-            free = ~np.isfinite(t) | np.isnan(e0)  # 0 / 0 or the empty half
-            lo = np.maximum(lo, np.where(free, -bound, np.minimum(e0, e1)))
-            hi = np.minimum(hi, np.where(free, bound, np.maximum(e0, e1)))
-    lo, hi = np.clip(lo, -bound, bound), np.clip(hi, -bound, bound)
+            lo = np.maximum(lo, np.minimum(e0, e1))
+            hi = np.minimum(hi, np.maximum(e0, e1))
     lo = lo - sa - (np.abs(lo) + np.abs(sa)) * _SLACK
     hi = hi - sa + (np.abs(hi) + np.abs(sa)) * _SLACK
     return np.searchsorted(sb, lo, "left"), np.searchsorted(sb, hi, "right")
@@ -394,8 +397,6 @@ def _runs(start, stop, cap):
             break
         level += np.repeat(fits, 1 << k)[:m]
     i = np.flatnonzero((np.arange(m) & ((1 << level) - 1)) == 0)
-    if not len(i):
-        return []
     j = np.minimum(i + (1 << level[i]), m)
     cols = np.maximum.reduceat(stop, i)
     return list(zip(i.tolist(), j.tolist(), start[i].tolist(), cols.tolist()))
@@ -457,13 +458,9 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
         min_abs_ip, beta = _bound(tables, matched)
         for (rows, slab), infs in _blocks(tables, beta):
             low = infs.min()
-            rows = ia[rows]
-            if low > best_inf or (low == best_inf and int(rows.min()) << w > best_code):
-                continue
             r, c = np.nonzero(infs == low)
-            code = int(((rows[r] << w) + ib[slab][c]).min())
-            if low < best_inf or code < best_code:
-                best_inf, best_code = float(low), code
+            code = int(((ia[rows][r] << w) + ib[slab][c]).min())
+            best_inf, best_code = min((best_inf, best_code), (float(low), code))
     inside = min_abs_ip == 0.0 or (matched == 1.0 and _products_at_most(uq)[0])
     return _verdict(inside, best_inf, _vertex_from_code(best_code, u.n), min_abs_ip)
 

@@ -341,9 +341,40 @@ class TestPrunedKernel:
         assert dense == [1 << 20]
         assert 0 < sum(pairs) < dense[0] // 64
 
+    def test_the_search_sees_only_its_domain(self, monkeypatch):
+        # _windows may take beta >= 1 and n >= 2 as given: every call that
+        # enumerate_shadows makes has such a beta and finite t_max and t_min
+        # in both halves, and n = 1 never searches, its sign-matched norm
+        # being 0
+        windows, betas = oracle._windows, []
+
+        def checked(tables, beta):
+            assert beta >= 1.0
+            for _, hi, lo in tables:
+                assert np.isfinite(hi).all() and np.isfinite(lo).all()
+            betas.append(beta)
+            return windows(tables, beta)
+
+        monkeypatch.setattr(oracle, "_windows", checked)
+        cases = pruned_kernel_cases() + distinct_row_cases()
+        for bits in (3, 8, 14):
+            monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
+            for u in cases:
+                enumerate_shadows(u)
+        assert betas and min(betas) == 1.0
+        for u in cases:
+            if u.n == 1:
+                assert oracle._sign_matched(_snap(u.coords).tolist()) == 0.0
+
     def test_windows_hold_every_pair_at_or_below_the_bound(self):
-        # bounds equal to pair norms put pairs exactly on a window's edge
+        # bounds equal to pair norms put pairs exactly on a window's edge;
+        # n = 1, whose A half is empty, is outside the search's domain, but
+        # betas below 1 stay covered, and one just below 1 can round the
+        # widened bound to exactly 1, where a zero t divides 0 by 0: hence
+        # _windows ignores invalid as well as divide
         for u in pruned_kernel_cases() + distinct_row_cases():
+            if u.n == 1:
+                continue
             uq = _snap(u.coords[None])
             tables, _ = oracle._distinct_tables(uq)
             infs = pair_norms(tables)
@@ -370,10 +401,14 @@ class TestPrunedKernel:
 
     def test_runs_cover_every_row_within_the_cap(self):
         rng = np.random.default_rng(11)
-        for m, cap in ((1, 1), (5, 4), (64, 16), (300, 1 << 10), (1000, 1 << 14)):
+        cases = ((0, 1), (1, 1), (5, 4), (64, 16), (300, 1 << 10), (1000, 1 << 14))
+        for m, cap in cases:
             start = np.sort(rng.integers(0, 2000, m))
             stop = start + rng.integers(1, 300, m) * (rng.random(m) < 0.9) + 1
             runs = oracle._runs(start, stop, cap)
+            if m == 0:
+                assert runs == []
+                continue
             assert [i for i, *_ in runs] == [0] + [j for _, j, *_ in runs[:-1]]
             assert runs[-1][1] == m
             for i, j, c0, c1 in runs:
