@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import fields
@@ -34,8 +33,6 @@ from .extremal import (
 from .geometry import UnitVector, Vertex, criterion, l2_norm
 from .measure import MAX_SAMPLES, estimate
 from .oracle import DEFAULT_LIMIT, MAX_LIMIT, enumerate_shadows
-
-ENV_ORACLE_LIMIT = "SHADOWS_ORACLE_LIMIT"
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -140,18 +137,6 @@ def _resolve_direction(args) -> tuple[UnitVector, dict]:
     return u, {"n": int(raw.size), "input_l2": input_l2}
 
 
-def _resolve_limit(args) -> int:
-    if args.limit is not None:
-        return args.limit
-    env = os.environ.get(ENV_ORACLE_LIMIT)
-    if env is None:
-        return DEFAULT_LIMIT
-    try:
-        return _limit(env)
-    except argparse.ArgumentTypeError as exc:
-        raise _UsageError(f"{ENV_ORACLE_LIMIT}={env!r}: {exc}")
-
-
 def _add_direction_args(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--vec", help="comma or space separated coordinates")
@@ -174,12 +159,11 @@ def _cmd_check(args):
 
 
 def _cmd_oracle(args):
-    limit = _resolve_limit(args)
-    if args.maximizer is not None and args.maximizer > limit:
-        raise DimensionTooLarge(args.maximizer, limit)  # before building it
+    if args.maximizer is not None and args.maximizer > args.limit:
+        raise DimensionTooLarge(args.maximizer, args.limit)  # before building it
     u, params = _resolve_direction(args)
-    params["limit"] = limit
-    verdict = enumerate_shadows(u, n_limit=limit)
+    params["limit"] = args.limit
+    verdict = enumerate_shadows(u, n_limit=args.limit)
     crit = criterion(u)
     results = {
         "n": u.n,
@@ -297,9 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "--limit",
         type=_limit,
-        default=None,
-        help=f"dimension cap (default {DEFAULT_LIMIT}, at most {MAX_LIMIT}, "
-        f"env {ENV_ORACLE_LIMIT})",
+        default=DEFAULT_LIMIT,
+        help=f"dimension cap (default {DEFAULT_LIMIT}, at most {MAX_LIMIT})",
     )
     p_oracle.set_defaults(handler=_cmd_oracle)
 

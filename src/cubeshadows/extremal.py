@@ -108,9 +108,7 @@ def numerical_max(n: int, restarts: int = 8, seed: int = 0) -> AscentResult:
         raise ValueError(f"need restarts >= 1, got {restarts}")
     step = 0.1 / math.sqrt(n)
 
-    best = None  # best converged restart: (value, point, gn, iters)
-    fallback = None  # best seen overall, for the failure payload
-    converged = 0
+    runs = []  # each restart's (value, point, gn, iters)
     for g in draws:
         w = np.abs(g)
         w[0] += 1.0
@@ -126,28 +124,26 @@ def numerical_max(n: int, restarts: int = 8, seed: int = 0) -> AscentResult:
             w = w + step * rg
             w /= np.linalg.norm(w)
         point = UnitVector(w)
-        value = criterion_product(point)
-        if fallback is None or value > fallback[0]:
-            fallback = (value, point, gn, it)
-        if gn <= GRAD_TOL:
-            converged += 1
-            if best is None or value > best[0]:
-                best = (value, point, gn, it)
+        runs.append((criterion_product(point), point, gn, it))
 
-    if best is None:
+    # max keeps the first of tied values: the earliest restart wins
+    converged = [r for r in runs if r[2] <= GRAD_TOL]
+    if not converged:
+        fallback = max(runs, key=lambda r: r[0])  # best seen overall
         raise NonConvergence(
             f"no restart reached grad_tol={GRAD_TOL} within "
             f"{MAX_ITERS} iterations (n={n})",
             best_value=fallback[0],
             best_point=fallback[1],
         )
+    best = max(converged, key=lambda r: r[0])
     return AscentResult(
         n=n,
         value=best[0],
         point=best[1],
         grad_norm=best[2],
         iterations=best[3],
-        restarts_converged=converged,
+        restarts_converged=len(converged),
     )
 
 

@@ -202,18 +202,17 @@ def _pair(lead, trail):
 
 
 def _check_limit(n: int, n_limit: int) -> None:
-    """The caps, checked before any table of n coordinates is built."""
+    """The caps, checked before anything of n coordinates is allocated."""
     if n_limit > MAX_LIMIT:
         raise ValueError(f"n_limit={n_limit} exceeds the ceiling of {MAX_LIMIT}")
     if n > n_limit:
         raise DimensionTooLarge(n, n_limit)
 
 
-def _sums(uq: np.ndarray, n_limit: int):
+def _sums(uq: np.ndarray):
     """The leading-sign sums (_row_sums) of A = uq[:, :n//2] and of B, for
     T snapped directions uq, shape (T, n). An empty half is the one sum 0."""
     n = uq.shape[1]
-    _check_limit(n, n_limit)
     # coordinate axis first: reducing over it runs on contiguous rows
     u = np.ascontiguousarray(uq.T)[:, :, None]
     return _row_sums(u[: n // 2], True), _row_sums(u[n // 2 :], True)
@@ -438,13 +437,13 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
     Ties in the minimal sup-norm go to the lexicographically smallest sign
     pattern (+1 sorts before -1), at any BLOCK_BITS. n_limit may not exceed
     MAX_LIMIT."""
+    _check_limit(u.n, n_limit)
     uq = _snap(u.coords[None])
     xs = uq[0].tolist()
     matched = _sign_matched(xs)
     if matched < 1.0:  # no zero coordinate: sign(uq) is a vertex, and inside
         best = _vertex(np.signbit(uq[0]) ^ (xs[0] < 0))
-        return _verdict(True, matched, best, _min_abs_sums(*_sums(uq, n_limit))[0])
-    _check_limit(u.n, n_limit)
+        return _verdict(True, matched, best, _min_abs_sums(*_sums(uq))[0])
     classes, multisets = _classes(xs)
     if multisets <= 1 << BLOCK_BITS:  # one row per multiset, no pairs
         s, hi, lo, codes = (x[0] for x in _class_table(uq[0], classes))
@@ -517,13 +516,14 @@ def any_vertex_inside(u: UnitVector) -> bool:
     classes, multisets = _classes(xs)
     if multisets <= 1 << BLOCK_BITS:
         return bool(np.abs(_class_sums(classes)).min() == 0.0)
-    return bool(_min_abs_sums(*_sums(uq, DEFAULT_LIMIT))[0] == 0.0)
+    return bool(_min_abs_sums(*_sums(uq))[0] == 0.0)
 
 
 def min_abs_inner_product(u: UnitVector) -> float:
     """Smallest |<eps, u>| over all sign vectors eps, exactly, on the
     snapped direction."""
-    return float(_min_abs_sums(*_sums(_snap(u.coords[None]), DEFAULT_LIMIT))[0])
+    _check_limit(u.n, DEFAULT_LIMIT)
+    return float(_min_abs_sums(*_sums(_snap(u.coords[None])))[0])
 
 
 def is_orthogonal_to_some_vertex(u: UnitVector) -> bool:
@@ -560,7 +560,7 @@ def agreement_sweep(n: int, trials: int, seed: int) -> AgreementStats:
     for _ in range(0, trials, group):
         us = _unit_rows(np.array(list(islice(draws, group))))
         uq = _snap(us)
-        kept = _min_abs_sums(*_sums(uq, DEFAULT_LIMIT)) > 0.0
+        kept = _min_abs_sums(*_sums(uq)) > 0.0
         stored, snapped = _products_at_most(np.concatenate((us, uq))).reshape(2, -1)
         # count_nonzero gives numpy ints: each would be an object of its own
         decided = int(np.count_nonzero(kept))

@@ -10,7 +10,6 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +27,6 @@ CSV_HEADER = "n,samples,seed,frac_satisfying,mean,median,q05,q95,growth_ratio"
 
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
-    env.pop("SHADOWS_ORACLE_LIMIT", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -128,26 +126,13 @@ class TestOracle:
         assert code == 4 and out == ""
         assert "exceeds the enumeration cap" in err
 
-    def test_env_var_lowers_the_cap(self):
+    def test_the_environment_does_not_set_the_cap(self):
+        # --limit is the cap's one source; a variable of this name is ignored
         proc = run_cli(
             "oracle", "--maximizer", "5",
             env_extra={"SHADOWS_ORACLE_LIMIT": "4"},
         )
-        assert proc.returncode == 4
-
-    def test_flag_beats_the_env_var(self):
-        proc = run_cli(
-            "oracle", "--maximizer", "5", "--limit", "6",
-            env_extra={"SHADOWS_ORACLE_LIMIT": "4"},
-        )
-        assert proc.returncode == 0
-
-    def test_unparsable_env_var_is_an_error(self):
-        proc = run_cli(
-            "oracle", "--maximizer", "5",
-            env_extra={"SHADOWS_ORACLE_LIMIT": "soon"},
-        )
-        assert proc.returncode == 2
+        assert record_of(proc)["params"]["limit"] == 28
 
 
 class TestExtremal:
@@ -259,7 +244,6 @@ class TestExitCodes:
             (("measure", "--dims", "4", "--samples", "0"), None),
             (("oracle", "--maximizer", "5", "--limit", "-1"), None),
             (("oracle", "--maximizer", "5", "--limit", "0"), None),
-            (("oracle", "--maximizer", "5"), {"SHADOWS_ORACLE_LIMIT": "0"}),
         ],
     )
     def test_counts_below_one_are_usage_errors(self, args, env):
@@ -351,7 +335,7 @@ HUGE = st.integers(10**18, 10**30)
 DIMENSION = st.one_of(
     st.integers(-2, 64).map(str), st.sampled_from(["", "x", "1.5"]), HUGE.map(str)
 )
-# --limit and SHADOWS_ORACLE_LIMIT, up to far past the ceiling MAX_LIMIT
+# --limit, up to far past the ceiling MAX_LIMIT
 LIMIT = st.one_of(
     st.integers(-2, 16).map(str),
     st.integers(1, 10**30).map(str),
@@ -430,16 +414,11 @@ class TestFuzz:
             (tmp / "empty").write_text("", encoding="utf-8")
 
             @settings(max_examples=300)
-            @given(cli_argv(tmp), st.one_of(st.none(), LIMIT))
-            # limits past the ceiling, with a dimension whose tables do not fit
-            @example(["oracle", "--maximizer", "64", "--limit", str(10**30)], None)
-            @example(["oracle", "--maximizer", "64"], "64")
-            def run(argv, env_limit):
-                with mock.patch.dict(os.environ):
-                    os.environ.pop("SHADOWS_ORACLE_LIMIT", None)
-                    if env_limit is not None:
-                        os.environ["SHADOWS_ORACLE_LIMIT"] = env_limit
-                    code, out, err = run_main(argv)
+            @given(cli_argv(tmp))
+            # a limit past the ceiling, with a dimension whose tables do not fit
+            @example(["oracle", "--maximizer", "64", "--limit", str(10**30)])
+            def run(argv):
+                code, out, err = run_main(argv)
                 assert 0 <= code <= 5, (argv, err)
                 assert "Traceback" not in err
                 if code == 0 and "--help" not in argv:

@@ -231,20 +231,20 @@ class TestHalfTables:
             np.random.Philox(key=np.array([97, 8000], dtype=np.uint64))
         )
         signed_zeros = (u_of(-0.0, 1.0), u_of(1.0, -0.0), u_of(-0.0, 1.0, -2.0))
-        cases = [(_snap(u.coords[None]), 3) for u in signed_zeros]
+        cases = [_snap(u.coords[None]) for u in signed_zeros]
         for n in [1, *range(14, 29), 32, 36]:
             v = rng.integers(-3, 4, size=n).astype(np.float64)
             v[-1] = -0.0
             v[0] = 3.0
             us = (maximizer(n), sample_sphere(n, 7), UnitVector(v))
-            cases += [(_snap(u.coords[None]), oracle.MAX_LIMIT) for u in us]
+            cases += [_snap(u.coords[None]) for u in us]
         for n in range(1, 15):  # the sweep's batches
             v = rng.integers(-3, 4, size=((1 << 14) >> n, n)).astype(np.float64)
             v[::2] = rng.standard_normal(v[::2].shape)
-            cases.append((_snap(v), 14))
-        for uq, limit in cases:
+            cases.append(_snap(v))
+        for uq in cases:
             want = reference_tables(uq)
-            for half, s, ref in zip(full_tables(uq), oracle._sums(uq, limit), want):
+            for half, s, ref in zip(full_tables(uq), oracle._sums(uq), want):
                 for x, y in zip(half, ref):
                     assert x.shape == y.shape and x.tobytes() == y.tobytes(), uq.shape
                 # _sums holds the rows whose leading sign is +1, the first
@@ -395,7 +395,7 @@ class TestPrunedKernel:
                 u = sample_sphere(n, seed)
                 uq = _snap(u.coords[None])
                 assert oracle._sign_matched(uq[0].tolist()) >= 1.0, (n, seed)
-                want = oracle._min_abs_sums(*oracle._sums(uq, oracle.MAX_LIMIT))[0]
+                want = oracle._min_abs_sums(*oracle._sums(uq))[0]
                 v = enumerate_shadows(u, oracle.MAX_LIMIT)
                 assert v.min_abs_inner_product == want, (n, seed)
 
@@ -673,7 +673,7 @@ class TestSignLemma:
                 uq = _snap(u.coords[None])
                 assert oracle._sign_matched(uq[0].tolist()) < 1.0, (n, seed)
                 tables, (ia, ib) = oracle._distinct_tables(uq)
-                abs_ip = float(oracle._min_abs_sums(*oracle._sums(uq, n))[0])
+                abs_ip = float(oracle._min_abs_sums(*oracle._sums(uq))[0])
                 best_inf, best_code = np.inf, None
                 for i in range(0, len(ia), 256):
                     infs = pair_norms(tables, slice(i, i + 256))
@@ -894,7 +894,7 @@ class TestStackedRows:
         cases = pruned_kernel_cases() + distinct_row_cases() + [heavy]
         cases += [sample_sphere(n, 17, i) for n in range(1, 15) for i in range(6)]
         for uq in stacks_by_dimension(cases):
-            sa, sb = oracle._sums(uq, 14)
+            sa, sb = oracle._sums(uq)
             got = oracle._min_abs_sums(sa, sb)
             fa, fb = closure(sa), closure(sb)
             nearest = []
@@ -905,11 +905,11 @@ class TestStackedRows:
             assert not np.signbit(got).any()
             zeros += int((got == 0.0).sum())
         assert zeros > 0
-        sa, sb = (closure(s) for s in oracle._sums(_snap(heavy.coords[None]), 3))
+        sa, sb = (closure(s) for s in oracle._sums(_snap(heavy.coords[None])))
         sb = np.sort(sb[0])
         found = np.searchsorted(sb, -sa[0])
         assert found.min() == 0 and found.max() == len(sb)
-        sa, sb = oracle._sums(_snap(u_of(1.0, 1.0, 2.0).coords[None]), 3)
+        sa, sb = oracle._sums(_snap(u_of(1.0, 1.0, 2.0).coords[None]))
         assert oracle._min_abs_sums(sa, sb).tolist() == [0.0]
 
     def test_packed_keys_are_exact_at_their_edges(self):
@@ -925,7 +925,7 @@ class TestStackedRows:
         one_unit = u_of(1.0, 1.0 + 8 * 2.0**-52)
         assert integer_min_abs_sum(one_unit) == 1
         for u in (u_of(0.6), u_of(0.6, -0.8), u_of(1.0, 1.0, 2.0), one_unit):
-            sa, sb = oracle._sums(_snap(u.coords[None]), 3)
+            sa, sb = oracle._sums(_snap(u.coords[None]))
             exact = math.ldexp(integer_min_abs_sum(u), -oracle.QUANT_BITS)
             fa, fb = closure(sa), closure(sb)
             brute = float(np.abs(fa[:, :, None] + fb[:, None]).min())
@@ -939,7 +939,7 @@ class TestStackedRows:
                 assert min_abs_inner_product(u) == exact, u.coords
         # the all-equal direction at the ceiling: |s| reaches 6, min |s| = 0
         uq = _snap(np.full((1, oracle.MAX_LIMIT), oracle.MAX_LIMIT**-0.5))
-        sa, sb = oracle._sums(uq, oracle.MAX_LIMIT)
+        sa, sb = oracle._sums(uq)
         assert np.abs(sa).max() + np.abs(sb).max() >= 6.0 - oracle.MAX_LIMIT * unit
         a, b = closure(sa[0]), np.sort(closure(sb[0]))
         nearest = float(np.abs(a + b[oracle._nearest(a, b)]).min())
@@ -986,7 +986,7 @@ class TestStackedRows:
                 for i in [bisect.bisect_left(b, -x)]
                 for j in (max(i - 1, 0), min(i, len(b) - 1))
             )
-            got = oracle._min_abs_sums(*oracle._sums(uq, oracle.MAX_LIMIT))
+            got = oracle._min_abs_sums(*oracle._sums(uq))
             assert got.tolist() == [math.ldexp(brute, -oracle.QUANT_BITS)], v
             assert (brute == 0) == (v is not cases[1]), v
             tops.append(top)
@@ -1016,7 +1016,7 @@ class TestStackedRows:
         # the maximizer's B half, of three or more equal coordinates, repeats
         # sums, and min |<eps, u>| > 0
         for n in range(6, 15):
-            sa, sb = oracle._sums(_snap(maximizer(n).coords[None]), 14)
+            sa, sb = oracle._sums(_snap(maximizer(n).coords[None]))
             assert len(np.unique(np.abs(sb))) < sb.size, n
             fa, fb = closure(sa), closure(sb)
             brute = np.abs(fa[:, :, None] + fb[:, None]).min((1, 2))
@@ -1154,6 +1154,26 @@ class TestDimensionCaps:
         with pytest.raises(ValueError, match=str(oracle.MAX_LIMIT)):
             enumerate_shadows(u_of(1.0, 2.0), n_limit=oracle.MAX_LIMIT + 1)
         assert enumerate_shadows(u_of(1.0, 2.0), n_limit=oracle.MAX_LIMIT).exists_inside
+
+    def test_the_cap_is_checked_before_anything_is_allocated(self):
+        # snapping 2^20 coordinates alone would take 8 MiB
+        u = UnitVector(np.random.default_rng(28).standard_normal(1 << 20))
+        calls = [
+            (DimensionTooLarge, lambda: enumerate_shadows(u)),
+            (DimensionTooLarge, lambda: min_abs_inner_product(u)),
+            (DimensionTooLarge, lambda: any_vertex_inside(u)),
+            (ValueError, lambda: enumerate_shadows(u, n_limit=oracle.MAX_LIMIT + 1)),
+        ]
+        for kind, call in calls:
+            tracemalloc.start()
+            try:
+                with pytest.raises(kind) as exc:
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 << 10, (exc.value, peak)
+        assert "ceiling" in str(exc.value)  # n_limit's check comes first
 
     def test_naive_cap_is_lower(self):
         with pytest.raises(DimensionTooLarge):

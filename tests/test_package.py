@@ -40,6 +40,20 @@ def test_only_the_options_a_caller_sets_have_defaults():
     assert found == OPTIONS
 
 
+def test_no_module_reads_the_environment():
+    # an environment variable would be an option that no signature shows
+    knobs = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in knobs:
+                reads.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names} & knobs
+                reads += [(path.name, node.lineno, name) for name in names]
+    assert reads == []
+
+
 def test_every_name_the_demos_import_resolves():
     demos = sorted(DEMOS.glob("*.py"))
     assert demos
