@@ -59,8 +59,6 @@ def maximizer(n: int) -> UnitVector:
     Then a^2 + (n-1) b^2 = 1 and a * (a + (n-1) b) = (sqrt(n) + 1)/2.
     """
     check_dimension(n)
-    if n == 1:
-        return UnitVector(np.array([1.0]))
     r = math.sqrt(n)
     a = math.sqrt((1.0 + 1.0 / r) / 2.0)
     b = 1.0 / (2.0 * a * r)

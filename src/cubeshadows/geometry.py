@@ -188,7 +188,7 @@ def canonical_vertex(u: UnitVector) -> Vertex:
     """The sign-matched vertex for u: -1 where u_k < 0, +1 elsewhere, zeros
     of either sign included. It is inside exactly when ||u||_1 ||u||_inf <= 2
     (shadow), and a vertex not orthogonal to u is inside only if it is."""
-    return Vertex(np.where(u.coords < 0, -1, 1).astype(np.int8))
+    return Vertex(np.where(u.coords < 0, -1, 1))
 
 
 def shadow(u: UnitVector, eps: Vertex) -> ShadowReport:

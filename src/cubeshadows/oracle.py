@@ -473,11 +473,11 @@ def enumerate_shadows_naive(u: UnitVector, n_limit: int = 20) -> OracleVerdict:
     full; the first minimum wins, so ties go to the smallest code. A vertex
     whose float norm is not above 1 is inside when 0 <= S T_k <= 2^97 for
     every k, in integers: S = <eps, U>, T_k = eps_k U_k and U = uq 2^48.
-    Unusable beyond small n, hence the lower default cap.
+    Unusable beyond small n, hence the lower default cap; n_limit may not
+    exceed MAX_LIMIT, checked as enumerate_shadows checks it.
     """
     n = u.n
-    if n > n_limit:
-        raise DimensionTooLarge(n, n_limit)
+    _check_limit(n, n_limit)
     uq = _snap(u.coords)
     units = np.ldexp(uq, QUANT_BITS).astype(np.int64)
     # S T_k <= 2^97 for every k as |S| <= 2^97 // max |U_k|: S U_k overflows
@@ -555,7 +555,7 @@ def agreement_sweep(n: int, trials: int, seed: int) -> AgreementStats:
         raise ValueError(f"need trials >= 0, got {trials}")
     draws = _draws(n, seed, range(trials))
     _check_limit(n, DEFAULT_LIMIT)
-    agreements = skips = disagreements = satisfied_count = 0
+    agreements = skips = satisfied_count = 0
     group = max(1, (1 << BLOCK_BITS) >> (n - n // 2))
     for _ in range(0, trials, group):
         us = _unit_rows(np.array(list(islice(draws, group))))
@@ -563,12 +563,10 @@ def agreement_sweep(n: int, trials: int, seed: int) -> AgreementStats:
         kept = _min_abs_sums(*_sums(uq)) > 0.0
         stored, snapped = _products_at_most(np.concatenate((us, uq))).reshape(2, -1)
         # count_nonzero gives numpy ints: each would be an object of its own
-        decided = int(np.count_nonzero(kept))
-        agree = int(np.count_nonzero((stored == snapped) & kept))
-        skips += len(us) - decided
+        skips += len(us) - int(np.count_nonzero(kept))
         satisfied_count += int(np.count_nonzero(stored & kept))
-        agreements += agree
-        disagreements += decided - agree
+        agreements += int(np.count_nonzero((stored == snapped) & kept))
+    disagreements = trials - skips - agreements
     return AgreementStats(
         n, trials, seed, agreements, skips, disagreements, satisfied_count
     )

@@ -148,6 +148,12 @@ class TestVertex:
         with pytest.raises(ValueError):
             Vertex(np.array([2, 1], dtype=np.int8))
 
+    def test_rejects_bad_shape(self):
+        with pytest.raises(DimensionMismatch):
+            Vertex(np.ones((2, 2), dtype=np.int8))
+        with pytest.raises(DimensionMismatch):
+            Vertex(np.array([], dtype=np.int8))
+
     def test_entries_are_checked_before_the_int8_cast(self):
         # an int8 cast maps 1.5 and -1.9 to signs and wraps 257 to 1, and
         # 127 * 127 wraps to 1 in int8: each is rejected, not rounded

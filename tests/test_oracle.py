@@ -2,6 +2,7 @@
 
 import bisect
 import hashlib
+import inspect
 import math
 import tracemalloc
 from collections import Counter
@@ -1151,9 +1152,24 @@ class TestDimensionCaps:
         assert any_vertex_inside(u_of(1.0, *[1e-3] * (oracle.DEFAULT_LIMIT - 1)))
 
     def test_limits_above_the_ceiling_are_rejected(self):
-        with pytest.raises(ValueError, match=str(oracle.MAX_LIMIT)):
-            enumerate_shadows(u_of(1.0, 2.0), n_limit=oracle.MAX_LIMIT + 1)
-        assert enumerate_shadows(u_of(1.0, 2.0), n_limit=oracle.MAX_LIMIT).exists_inside
+        # every public entry point that takes n_limit, so a new one cannot
+        # skip the ceiling
+        entries = [
+            f
+            for name, f in vars(oracle).items()
+            if callable(f)
+            and not name.startswith("_")
+            and getattr(f, "__module__", None) == oracle.__name__
+            and "n_limit" in inspect.signature(f).parameters
+        ]
+        assert {f.__name__ for f in entries} >= {
+            "enumerate_shadows",
+            "enumerate_shadows_naive",
+        }
+        for f in entries:
+            with pytest.raises(ValueError, match=str(oracle.MAX_LIMIT)):
+                f(u_of(1.0, 2.0), n_limit=oracle.MAX_LIMIT + 1)
+            assert f(u_of(1.0, 2.0), n_limit=oracle.MAX_LIMIT).exists_inside, f
 
     def test_the_cap_is_checked_before_anything_is_allocated(self):
         # snapping 2^20 coordinates alone would take 8 MiB
@@ -1163,6 +1179,7 @@ class TestDimensionCaps:
             (DimensionTooLarge, lambda: min_abs_inner_product(u)),
             (DimensionTooLarge, lambda: any_vertex_inside(u)),
             (ValueError, lambda: enumerate_shadows(u, n_limit=oracle.MAX_LIMIT + 1)),
+            (ValueError, lambda: enumerate_shadows_naive(u, n_limit=oracle.MAX_LIMIT + 1)),
         ]
         for kind, call in calls:
             tracemalloc.start()
@@ -1173,7 +1190,8 @@ class TestDimensionCaps:
             finally:
                 tracemalloc.stop()
             assert peak < 64 << 10, (exc.value, peak)
-        assert "ceiling" in str(exc.value)  # n_limit's check comes first
+            if kind is ValueError:  # n_limit's check comes first
+                assert "ceiling" in str(exc.value)
 
     def test_naive_cap_is_lower(self):
         with pytest.raises(DimensionTooLarge):
