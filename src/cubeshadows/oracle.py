@@ -26,8 +26,13 @@ Halving: row 2^k - 1 - a of a half negates row a and its sum, so the sums
 of A and of B are closed under negation, and min |<eps, u>|, min |a + b|
 over their pairs, is min ||a| - |b|| over the sums of the rows whose
 leading sign is +1 (_sums), as min(|a + b|, |a - b|) = ||a| - |b||. The
-callers that do not search take min |<eps, u>| so (_min_abs_sums); the
-search takes it from its nearest pairs (Search). The sums of up to _WIDTH
+callers that do not search take min |<eps, u>| so (_min_abs_sums), unless
+a stack of T directions has n <= _WIDTH coordinates and T 2^(n-1) <=
+2^BLOCK_BITS: then one matmul gives the whole direction's 2^(n-1)
+leading-sign sums, which hold every vertex sum up to sign, and their
+least |s| is min |<eps, u>| (_min_abs), with the bits of the sort's D
+2^-48, as each sum is exact, and a zero +0 on both paths. The search
+takes it from its nearest pairs (Search). The sums of up to _WIDTH
 coordinates are one matmul with the signs, exact in any order, FMA
 included, so only an exact zero's sign could change, which |.| drops.
 Their keys, |a| 2^50 and |b| 2^50 + 1, are 0 and 1 mod 4, as each |s| is a
@@ -301,6 +306,17 @@ def _min_abs_sums(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     return ((gaps.min(1) + (1 << 62 | 1)) >> 2) * 2.0**-QUANT_BITS
 
 
+def _min_abs(uq: np.ndarray) -> np.ndarray:
+    """min |<eps, u>| for T snapped directions uq, shape (T, n), exactly:
+    from one matmul of the whole direction's leading-sign sums where they
+    fit in one chunk, else from one sort of the halves' (the module's
+    Halving)."""
+    t, n = uq.shape
+    if n <= _WIDTH and t << (n - 1) <= 1 << BLOCK_BITS:
+        return np.abs(_row_sums(uq.T[:, :, None], True)).min(1)
+    return _min_abs_sums(*_sums(uq))
+
+
 def _nearest(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     """The index j of the row of the sorted sb just above each -a, a in sa,
     clipped to sb. Both tables are closed under negation, and the pair (-a,
@@ -443,7 +459,7 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
     matched = _sign_matched(xs)
     if matched < 1.0:  # no zero coordinate: sign(uq) is a vertex, and inside
         best = _vertex(np.signbit(uq[0]) ^ (xs[0] < 0))
-        return _verdict(True, matched, best, _min_abs_sums(*_sums(uq))[0])
+        return _verdict(True, matched, best, _min_abs(uq)[0])
     classes, multisets = _classes(xs)
     if multisets <= 1 << BLOCK_BITS:  # one row per multiset, no pairs
         s, hi, lo, codes = (x[0] for x in _class_table(uq[0], classes))
@@ -516,14 +532,14 @@ def any_vertex_inside(u: UnitVector) -> bool:
     classes, multisets = _classes(xs)
     if multisets <= 1 << BLOCK_BITS:
         return bool(np.abs(_class_sums(classes)).min() == 0.0)
-    return bool(_min_abs_sums(*_sums(uq))[0] == 0.0)
+    return bool(_min_abs(uq)[0] == 0.0)
 
 
 def min_abs_inner_product(u: UnitVector) -> float:
     """Smallest |<eps, u>| over all sign vectors eps, exactly, on the
     snapped direction."""
     _check_limit(u.n, DEFAULT_LIMIT)
-    return float(_min_abs_sums(*_sums(_snap(u.coords[None])))[0])
+    return float(_min_abs(_snap(u.coords[None]))[0])
 
 
 def is_orthogonal_to_some_vertex(u: UnitVector) -> bool:
@@ -549,7 +565,9 @@ def agreement_sweep(n: int, trials: int, seed: int) -> AgreementStats:
     call over the group's stored rows and their snapped rows decides the
     criterion on the first and, as a kept trial is inside exactly when its
     sign-matched vertex is (the module's exact rule), the verdict on the
-    second.
+    second. A group's min |<eps, u>| is one matmul of its whole directions'
+    sums where they fit in one chunk, as for 8 trials up to n = 12, else
+    one sort of its halves' sums (_min_abs): the same bits either way.
     """
     if trials < 0:
         raise ValueError(f"need trials >= 0, got {trials}")
@@ -560,7 +578,7 @@ def agreement_sweep(n: int, trials: int, seed: int) -> AgreementStats:
     for _ in range(0, trials, group):
         us = _unit_rows(np.array(list(islice(draws, group))))
         uq = _snap(us)
-        kept = _min_abs_sums(*_sums(uq)) > 0.0
+        kept = _min_abs(uq) > 0.0
         stored, snapped = _products_at_most(np.concatenate((us, uq))).reshape(2, -1)
         # count_nonzero gives numpy ints: each would be an object of its own
         skips += len(us) - int(np.count_nonzero(kept))

@@ -913,6 +913,54 @@ class TestStackedRows:
         sa, sb = oracle._sums(_snap(u_of(1.0, 1.0, 2.0).coords[None]))
         assert oracle._min_abs_sums(sa, sb).tolist() == [0.0]
 
+    def test_whole_direction_minimum_matches_the_halves(self, monkeypatch):
+        # up to _WIDTH coordinates, where a stack's leading-sign sums fit in
+        # one chunk, _min_abs takes the least |s| of the whole direction's
+        # sums, one matmul, else the halves' sort: every sum is exact, so
+        # both give D 2^-48, and |.| makes each zero +0. Gaussian stacks of
+        # 512 rows pass one chunk from n = 7 on; the signed zeros and the
+        # integer ratios (1, 2, 3) and (1, 1, 1, 1, 2, 2) have min |s| = 0
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([97, 3000], dtype=np.uint64))
+        )
+        cases = pruned_kernel_cases() + distinct_row_cases()
+        cases += [sample_sphere(n, 17, i) for n in range(1, 15) for i in range(6)]
+        stacks = stacks_by_dimension(cases)
+        for t in (1, 8, 64, 512):
+            for n in range(1, 15):
+                g = rng.standard_normal((t, n))
+                stacks.append(_snap(g / np.linalg.norm(g, axis=1, keepdims=True)))
+        exact_zeros = (
+            u_of(-0.0, 1.0),
+            u_of(1.0, -0.0),
+            u_of(-0.0, 1.0, -2.0),
+            u_of(0.0, -0.0, 1.0),
+            u_of(1.0, 2.0, 3.0),
+            u_of(1.0, 1.0, 1.0, 1.0, 2.0, 2.0),
+        )
+        stacks += [_snap(u.coords[None]) for u in exact_zeros]
+        sums, halves = oracle._sums, []
+
+        def counted(uq):
+            halves.append(uq.shape)
+            return sums(uq)
+
+        monkeypatch.setattr(oracle, "_sums", counted)
+        for bits in (14, 3, 8):
+            monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
+            taken, zeros = set(), 0
+            for uq in stacks:
+                before = len(halves)
+                got = oracle._min_abs(uq)
+                want = oracle._min_abs_sums(*sums(uq))
+                assert got.shape == want.shape, (bits, uq.shape)
+                assert got.tobytes() == want.tobytes(), (bits, uq)
+                assert not np.signbit(got).any(), (bits, uq)
+                taken.add(len(halves) > before)
+                zeros += int((got == 0.0).sum())
+            assert taken == {True, False}, bits
+            assert zeros >= len(exact_zeros), bits
+
     def test_packed_keys_are_exact_at_their_edges(self):
         # the largest key, |s| 2^50 + 1 with |s| at most sqrt(n) + n 2^-49,
         # is an integer below 2^53 up to the ceiling: float64 holds it, so
@@ -1393,6 +1441,35 @@ class TestAgreementSweep:
         monkeypatch.setattr(oracle, "_blocks", searched)
         for (n, s), ref in refs.items():
             assert agreement_sweep(n, 8, s) == ref, (n, s)
+
+    def test_small_directions_sort_no_half_sums(self, monkeypatch):
+        # up to _WIDTH = 12 coordinates, a group of 8 trials and one
+        # direction have their leading-sign sums in one chunk: min |<eps,
+        # u>| is one matmul of them (_min_abs), and no half sum is sorted.
+        # At n = 13 and 14 the sweep, and min_abs_inner_product up to the
+        # cap, take one sort of the halves' sums per call
+        halves = oracle._min_abs_sums
+
+        def sorted_halves(*_):
+            raise AssertionError("half sums sorted")
+
+        monkeypatch.setattr(oracle, "_min_abs_sums", sorted_halves)
+        for n in range(1, 13):
+            for s in (0, 7, 12345):
+                assert agreement_sweep(n, 8, s).trials == 8, (n, s)
+                min_abs_inner_product(sample_sphere(n, s))
+        calls = []  # the n of each sort, read when the sort is called
+
+        def counted(*sums):
+            calls.append(n)
+            return halves(*sums)
+
+        monkeypatch.setattr(oracle, "_min_abs_sums", counted)
+        for n in (13, 14):
+            agreement_sweep(n, 8, 5)
+        for n in range(13, oracle.DEFAULT_LIMIT + 1):
+            min_abs_inner_product(sample_sphere(n, 5))
+        assert calls == [13, 14, *range(13, oracle.DEFAULT_LIMIT + 1)]
 
     def test_retried_draws_match_one_trial_at_a_time(self, monkeypatch):
         # trials 2 and 5 fail their first draw; the batched sweep and the
