@@ -192,12 +192,9 @@ def _cmd_extremal(args):
     if args.scan is not None:
         lo, hi = _parse_scan(args.scan)
         rows = [
-            {
-                "n": n,
-                "max_value": closed_form_max(n),
-                "threshold_ok": closed_form_max(n) <= 2.0,
-            }
+            {"n": n, "max_value": top, "threshold_ok": top <= 2.0}
             for n in range(lo, hi + 1)
+            for top in [closed_form_max(n)]
         ]
         results = {"scan": rows, "threshold_dimension": threshold_dimension()}
         return "extremal", {"scan": args.scan}, results, None

@@ -154,11 +154,11 @@ def threshold_dimension() -> int:
 
 
 def summarize(n: int) -> ExtremalResult:
-    point = maximizer(n)
+    point, top = maximizer(n), closed_form_max(n)
     return ExtremalResult(
         n=n,
-        max_value=closed_form_max(n),
+        max_value=top,
         maximizer=point,
         achieved_value=criterion_product(point),
-        threshold_ok=closed_form_max(n) <= 2.0,
+        threshold_ok=top <= 2.0,
     )

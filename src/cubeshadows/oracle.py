@@ -16,11 +16,13 @@ and t -> fl(1 - fl(s t)) is monotone, so the shadow sup-norm is attained
 at max t_k or min t_k, bit for bit. Each half, A = u[:n//2] and B =
 u[n//2:], tabulates (s, t_max, t_min) over its sign patterns as the same
 pairing of its two quarters (_table), and a vertex is a pair of rows,
-combined with O(1) work. Partial sums are exact, and max and min return an
-operand, numpy's the second on a tie of +0 and -0, so the tables have the
-bits of one sign matrix per half, zeros' signs included. Rows are in
-lexicographic order (+1 before -1), so pair (a, b) has code a 2^|B| + b,
-the tie rule's order.
+combined with O(1) work. A table of one direction is 1-D, one entry per
+row. _pair pairs along the last axis, so the sweep's sums (_row_sums)
+stack T directions on a leading axis through the same function. Partial
+sums are exact, and max and min return an operand, numpy's the second on
+a tie of +0 and -0, so the tables have the bits of one sign matrix per
+half, zeros' signs included. Rows are in lexicographic order (+1 before
+-1), so pair (a, b) has code a 2^|B| + b, the tie rule's order.
 
 Halving: row 2^k - 1 - a of a half negates row a and its sum, so the sums
 of A and of B are closed under negation, and min |<eps, u>|, min |a + b|
@@ -55,6 +57,10 @@ verdict takes that vertex, +1 first, with no search. _sign_matched gives
 the norm by the kernel's formula on the coordinates as Python floats,
 which round as numpy does, at a quarter of the cost of numpy calls on one
 row; the vertex is built from its sign bits, as a code's is (_vertex).
+enumerate_shadows and any_vertex_inside share one front end (_front): it
+checks the caps, snaps, reads the floats, takes that norm and decides the
+exact rule's sign-matched half. It stops before the classes are counted,
+so a direction that vertex settles never counts them.
 
 Search: otherwise, unless the whole direction has few multisets of t
 (Classes), both half tables are put in order of s. Each A-row is paired
@@ -83,12 +89,16 @@ per coordinate of the floats that _sign_matched reads), one table over
 all n coordinates is the search: a row's smallest row is its vertex code,
 best_inf_norm is the least of the rows' norms by the kernel's formula,
 best_vertex the smallest code among the rows at that norm, and min
-|<eps, u>| the least |s|, which any_vertex_inside takes from the rows'
-sums alone (_class_sums). maximizer(n) has 2n rows: the large
+|<eps, u>| the least |s|. maximizer(n) has 2n rows: the large
 coordinate's 2 with the n rows of the n - 1 equal ones. Otherwise the
 search builds each half table so, and as a code is a 2^|B| + b, the
 smallest code among tied class pairs is that of their smallest rows: the
-tie rule holds.
+tie rule holds. any_vertex_inside needs only min |<eps, u>|: it takes the
+least |s| of the rows' sums alone (_class_sums) where they number at most
+2^(n - n//2), never more sums than the B half whose keys _min_abs sorts,
+and _min_abs otherwise. Its bound is not 2^BLOCK_BITS, the chunk size of
+a search it never runs: up to that size the sums cost more than _min_abs
+on criterion-failing Gaussian directions.
 
 Exact rule: some vertex has an exact shadow sup-norm <= 1 exactly when
 min |<eps, uq>| = 0 or ||uq||_1 ||uq||_inf <= 2. Proof: if s = 0, the
@@ -98,10 +108,11 @@ zero coordinates, s = ||uq||_1, and the norm is <= 1 exactly when s max
 |uq_k| <= 2. The sign-matched norm decides that off 1, as rounding is
 monotone: below 1 every fl(s t_k) < 2, so s t_k < 2, and above 1 some s
 t_k > 2. At a norm of exactly 1, geometry._products_at_most decides it
-exactly, as it does for geometry.shadow on the stored floats. No
-tolerance decides a flag, and no flag needs a search. best_inf_norm, the
-kernel's float, is below 1 only if some vertex is inside and above 1 only
-if none is, but may round to 1 either way.
+exactly, as it does for geometry.shadow on the stored floats. _front
+decides that half of the rule, and each query adds min |<eps, uq>| = 0.
+No tolerance decides a flag, and no flag needs a search. best_inf_norm,
+the kernel's float, is below 1 only if some vertex is inside and above 1
+only if none is, but may round to 1 either way.
 """
 
 from __future__ import annotations
@@ -122,12 +133,12 @@ from .measure import sample_sphere  # perfbench wraps oracle.sample_sphere
 
 QUANT_BITS = 48
 DEFAULT_LIMIT = 28
-MAX_LIMIT = 36  # half tables of 2^18 rows: a run peaks below 80 MB
+MAX_LIMIT = 36  # half tables of 2^18 rows: oracle --vec 57,1,2,...,35 peaks at 76 MB
 BLOCK_BITS = 14
 _SLACK = 2.0**-50  # 8 unit roundoffs of float64
 _LEAF = 10  # a table of at most this many coordinates reads _SIGNS
 _WIDTH = 12  # and its sums alone, by one matmul, up to this many
-_SIGNS = 1.0 - 2.0 * ((np.arange(1 << _WIDTH) >> np.arange(_WIDTH)[::-1, None, None]) & 1)
+_SIGNS = 1.0 - 2.0 * ((np.arange(1 << _WIDTH) >> np.arange(_WIDTH)[::-1, None]) & 1)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -175,33 +186,36 @@ def _vertex_from_code(code: int, n: int) -> Vertex:
 
 
 def _table(u: np.ndarray):
-    """(s, t_max, t_min), each (T, 2^k), over the sign patterns of u, shape
-    (k, T, 1): row a sets coordinate j to -1 when bit (k-1-j) of a is set."""
+    """(s, t_max, t_min), each of 2^k rows, over the sign patterns of the k
+    coordinates u: row a sets coordinate j to -1 when bit (k-1-j) of a is
+    set."""
     k = len(u)
     if k <= _LEAF:
-        t = _SIGNS[_WIDTH - k :, :, : 1 << k] * u
+        t = _SIGNS[_WIDTH - k :, : 1 << k] * u[:, None]
         return t.sum(0), t.max(0, initial=-np.inf), t.min(0, initial=np.inf)
     return _pair(_table(u[: k // 2]), _table(u[k // 2 :]))
 
 
 def _row_sums(u: np.ndarray, lead: bool) -> np.ndarray:
-    """The sums s of _table(u), shape (T, 2^k), by one matmul with the signs
-    up to _WIDTH coordinates, else as a pair of two halves; with lead,
-    only those of its first half of rows, whose leading sign is +1, shape
-    (T, 2^(k-1)), or the one sum 0 if k = 0."""
-    k = len(u)
+    """The sums s of _table for each row of u, T directions of k
+    coordinates, shape (T, 2^k), by one matmul with the signs up to _WIDTH
+    coordinates, else as a pair of two halves; with lead, only those of its
+    first half of rows, whose leading sign is +1, shape (T, 2^(k-1)), or
+    the one sum 0 if k = 0."""
+    k = u.shape[1]
     if k <= _WIDTH:
-        return u[..., 0].T @ _SIGNS[_WIDTH - k :, 0, : max(1 << k >> lead, 1)]
-    return _pair((_row_sums(u[: k // 2], lead),), (_row_sums(u[k // 2 :], False),))[0]
+        return u @ _SIGNS[_WIDTH - k :, : max(1 << k >> lead, 1)]
+    return _pair((_row_sums(u[:, : k // 2], lead),), (_row_sums(u[:, k // 2 :], False),))[0]
 
 
 def _pair(lead, trail):
     """The table of every row of lead, the high bits, with every row of
-    trail, of the same T directions: outer sums of s, maxima of t_max and
-    minima of t_min, and sums of the row indexes that a fourth entry may
-    carry, whose bits are disjoint."""
+    trail, along their last axis, so stacks of T directions pair row by
+    row: outer sums of s, maxima of t_max and minima of t_min, and sums of
+    the row indexes that a fourth entry may carry, whose bits are
+    disjoint."""
     return tuple(
-        op(x[:, :, None], y[:, None]).reshape(len(x), -1)
+        op(x[..., :, None], y[..., None, :]).reshape(*x.shape[:-1], -1)
         for op, x, y in zip((np.add, np.maximum, np.minimum, np.add), lead, trail)
     )
 
@@ -217,10 +231,8 @@ def _check_limit(n: int, n_limit: int) -> None:
 def _sums(uq: np.ndarray):
     """The leading-sign sums (_row_sums) of A = uq[:, :n//2] and of B, for
     T snapped directions uq, shape (T, n). An empty half is the one sum 0."""
-    n = uq.shape[1]
-    # coordinate axis first: reducing over it runs on contiguous rows
-    u = np.ascontiguousarray(uq.T)[:, :, None]
-    return _row_sums(u[: n // 2], True), _row_sums(u[n // 2 :], True)
+    h = uq.shape[1] // 2
+    return _row_sums(uq[:, :h], True), _row_sums(uq[:, h:], True)
 
 
 def _classes(xs: list):
@@ -241,7 +253,7 @@ def _classes(xs: list):
 
 
 def _class_table(u: np.ndarray, classes: dict):
-    """(s, t_max, t_min, row), each (1, rows), for the coordinates u of a
+    """(s, t_max, t_min, row), each 1-D, for the coordinates u of a
     half or of the whole of one snapped direction, and their classes
     (_classes): one row per distinct multiset of t = eps u, and row the
     smallest row of the full table (_table) with that multiset, which for
@@ -254,7 +266,7 @@ def _class_table(u: np.ndarray, classes: dict):
     Zeros together are one row, t = 0. Classes have disjoint bits and pair
     like quarters (_pair); nonzero, distinct magnitudes are the plain build."""
     if len(classes) == len(u) and 0.0 not in classes:
-        return (*_table(u[:, None, None]), np.arange(1 << len(u))[None])
+        return (*_table(u), np.arange(1 << len(u)))
     tables = []
     for m, (pos, neg) in classes.items():
         c = len(pos) + len(neg)
@@ -262,8 +274,8 @@ def _class_table(u: np.ndarray, classes: dict):
         # bits of P[p:] for p <= |P|, then of the last 1, 2, ... of N
         rows = [*accumulate(reversed(pos), initial=0)][::-1]
         rows += accumulate(reversed(neg))
-        table = np.array([s, [-m] + [m] * c, [-m] * c + [m]])[:, None]
-        tables.append((*table, np.array(rows)[None]))
+        table = np.array([s, [-m] + [m] * c, [-m] * c + [m]])
+        tables.append((*table, np.array(rows)))
     return reduce(_pair, tables)
 
 
@@ -276,12 +288,12 @@ def _class_sums(classes: dict) -> np.ndarray:
 
 def _distinct_tables(uq: np.ndarray):
     """The tables of one snapped direction uq, shape (1, n), with one row
-    per distinct multiset of t in each half (_class_table), both in order
-    of s, and the row of the full half that each entry stands for."""
+    per distinct multiset of t in each half (_class_table), both 1-D and in
+    order of s, and the row of the full half that each entry stands for."""
     h = uq.shape[1] // 2
     halves = []
     for v in (uq[0, :h], uq[0, h:]):
-        *table, rows = (x[0] for x in _class_table(v, _classes(v.tolist())[0]))
+        *table, rows = _class_table(v, _classes(v.tolist())[0])
         order = np.argsort(table[0])
         halves.append((tuple(x[order] for x in table), rows[order]))
     return tuple(zip(*halves))
@@ -313,7 +325,7 @@ def _min_abs(uq: np.ndarray) -> np.ndarray:
     Halving)."""
     t, n = uq.shape
     if n <= _WIDTH and t << (n - 1) <= 1 << BLOCK_BITS:
-        return np.abs(_row_sums(uq.T[:, :, None], True)).min(1)
+        return np.abs(_row_sums(uq, True)).min(1)
     return _min_abs_sums(*_sums(uq))
 
 
@@ -447,22 +459,33 @@ def _verdict(inside, best_inf, best_vertex: Vertex, min_abs_ip) -> OracleVerdict
     )
 
 
+def _front(u: UnitVector, n_limit: int):
+    """The front end of the one-direction queries: the caps checked, the
+    direction snapped, uq of shape (1, n), its coordinates xs as floats,
+    the norm matched of its sign-matched vertex (_sign_matched), and the
+    exact rule's sign-matched half, whether that vertex is inside. It
+    counts no classes, so a direction that vertex settles never does."""
+    _check_limit(u.n, n_limit)
+    uq = _snap(u.coords[None])
+    xs = uq[0].tolist()
+    matched = _sign_matched(xs)
+    inside = matched < 1.0 or (matched == 1.0 and _products_at_most(uq)[0])
+    return uq, xs, matched, inside
+
+
 def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerdict:
     """Report the best shadow over all 2^n vertices (vertices_checked), bit
     for bit the naive reference's, by the algorithm of the module docstring.
     Ties in the minimal sup-norm go to the lexicographically smallest sign
     pattern (+1 sorts before -1), at any BLOCK_BITS. n_limit may not exceed
     MAX_LIMIT."""
-    _check_limit(u.n, n_limit)
-    uq = _snap(u.coords[None])
-    xs = uq[0].tolist()
-    matched = _sign_matched(xs)
+    uq, xs, matched, inside = _front(u, n_limit)
     if matched < 1.0:  # no zero coordinate: sign(uq) is a vertex, and inside
         best = _vertex(np.signbit(uq[0]) ^ (xs[0] < 0))
         return _verdict(True, matched, best, _min_abs(uq)[0])
     classes, multisets = _classes(xs)
     if multisets <= 1 << BLOCK_BITS:  # one row per multiset, no pairs
-        s, hi, lo, codes = (x[0] for x in _class_table(uq[0], classes))
+        s, hi, lo, codes = _class_table(uq[0], classes)
         infs = _norms(s, hi, lo)
         best_inf, min_abs_ip = infs.min(), np.abs(s).min()
         best_code = int(codes[infs == best_inf].min())
@@ -476,7 +499,7 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
             r, c = np.nonzero(infs == low)
             code = int(((ia[rows][r] << w) + ib[slab][c]).min())
             best_inf, best_code = min((best_inf, best_code), (float(low), code))
-    inside = min_abs_ip == 0.0 or (matched == 1.0 and _products_at_most(uq)[0])
+    inside = inside or min_abs_ip == 0.0
     return _verdict(inside, best_inf, _vertex_from_code(best_code, u.n), min_abs_ip)
 
 
@@ -520,17 +543,15 @@ def enumerate_shadows_naive(u: UnitVector, n_limit: int = 20) -> OracleVerdict:
 
 def any_vertex_inside(u: UnitVector) -> bool:
     """Boolean-only query, by the exact rule of the module docstring, with
-    no search: O(n) where the sign-matched vertex is inside, else whether
-    min |<eps, u>| = 0, over the sums of the multisets of t where they are
-    at most 2^BLOCK_BITS (_class_sums), else over the half sums."""
-    _check_limit(u.n, DEFAULT_LIMIT)
-    uq = _snap(u.coords[None])
-    xs = uq[0].tolist()
-    matched = _sign_matched(xs)
-    if matched < 1.0 or (matched == 1.0 and _products_at_most(uq)[0]):
+    no search: O(n) where the sign-matched vertex decides it (_front), else
+    whether min |<eps, u>| = 0, over the sums of the multisets of t where
+    they number at most 2^(n - n//2), no more than the B half whose sums
+    _min_abs sorts (_class_sums), else by _min_abs."""
+    uq, xs, _, inside = _front(u, DEFAULT_LIMIT)
+    if inside:
         return True
     classes, multisets = _classes(xs)
-    if multisets <= 1 << BLOCK_BITS:
+    if multisets <= 1 << ((len(xs) + 1) // 2):  # 2^|B|, |B| = n - n//2
         return bool(np.abs(_class_sums(classes)).min() == 0.0)
     return bool(_min_abs(uq)[0] == 0.0)
 

@@ -205,9 +205,13 @@ def reference_tables(uq):
 
 def full_tables(uq):
     """The full (s, t_max, t_min) tables of each half of snapped directions
-    uq, shape (T, n), by the oracle's quarter build (_table)."""
-    u = uq.T[:, :, None]
-    return [oracle._table(u[: uq.shape[1] // 2]), oracle._table(u[uq.shape[1] // 2 :])]
+    uq, shape (T, n), by the oracle's quarter build (_table) of each
+    direction, stacked into shape (T, rows)."""
+    h = uq.shape[1] // 2
+    return [
+        [np.stack(x) for x in zip(*(oracle._table(u) for u in half))]
+        for half in (uq[:, :h], uq[:, h:])
+    ]
 
 
 def pair_norms(tables, rows=slice(None)):
@@ -581,7 +585,7 @@ class TestWholeDirectionTable:
         for u in pruned_kernel_cases() + distinct_row_cases():
             uq = _snap(u.coords)
             classes, multisets = oracle._classes(uq.tolist())
-            s = oracle._class_table(uq, classes)[0][0]
+            s = oracle._class_table(uq, classes)[0]
             sums = oracle._class_sums(classes)
             assert sums.size == s.size == multisets, u.coords
             assert np.sort(sums, axis=None).tolist() == np.sort(s).tolist(), u.coords
@@ -627,18 +631,18 @@ class TestSignLemma:
         # that starts with +1
         below = 0
         for u in pruned_kernel_cases() + distinct_row_cases():
-            uq = _snap(u.coords[None])
-            tables = [[x[0] for x in half] for half in full_tables(uq)]
+            uq = _snap(u.coords)
+            tables = [oracle._table(half) for half in np.split(uq, [u.n // 2])]
             (_, hia, loa), (_, hib, lob) = tables
             hi, lo = np.maximum.outer(hia, hib), np.minimum.outer(loa, lob)
             mixed = (lo <= 0.0) & (hi >= 0.0)
             assert (pair_norms(tables)[mixed] >= 1.0).all(), u.coords
-            norm = oracle._sign_matched(uq[0].tolist())
+            norm = oracle._sign_matched(uq.tolist())
             if norm < 1.0:
                 below += 1
                 ref = enumerate_shadows_naive(u)
                 assert norm == ref.best_inf_norm, u.coords
-                matched = np.sign(uq[0]) * np.sign(uq[0, 0])
+                matched = np.sign(uq) * np.sign(uq[0])
                 assert ref.best_vertex.signs.tolist() == matched.tolist(), u.coords
         assert below > 0
 
@@ -1285,6 +1289,50 @@ class TestEnumerationCap:
         )
 
 
+def partitions(n, top=None):
+    """Every partition of n into parts of at most top, largest first."""
+    top = n if top is None else top
+    if n == 0:
+        yield ()
+    for c in range(min(n, top), 0, -1):
+        yield from ((c, *rest) for rest in partitions(n - c, c))
+
+
+def few_multiset_cases():
+    """(multisets, u) at n = 10..16 for directions of one heavy coordinate
+    and n - 1 light ones in classes of equal magnitudes, whose 2 prod(c + 1)
+    multisets of t are the two counts closest to 2^(n - n//2), the bound of
+    any_vertex_inside's class route, at or under it and the two just over
+    it. The light magnitudes are the integers 1, 2, ... under a heavy 3 +
+    n//4, some orthogonal to a vertex, or 1 + j/64 under sqrt(n), as the
+    maximizer's, none orthogonal; signs and order are random."""
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([97, 3100], dtype=np.uint64))
+    )
+    cases = []
+    for n in range(10, 17):
+        bound = 1 << (n - n // 2)
+        parts = sorted((2 * math.prod(c + 1 for c in p), p) for p in partitions(n - 1))
+        under = [x for x in parts if x[0] <= bound][-2:]
+        over = [x for x in parts if x[0] > bound][:2]
+        for multisets, sizes in under + over:
+            for heavy, step in ((3.0 + n // 4, 1.0), (math.sqrt(n), 1 / 64)):
+                light = [np.full(c, 1.0 + j * step) for j, c in enumerate(sizes)]
+                v = rng.permutation(np.concatenate([[heavy], *light]))
+                cases.append((multisets, UnitVector(v * rng.choice((-1.0, 1.0), n))))
+    return cases
+
+
+def failing_sphere_points(dims, seed):
+    """The criterion-failing sample_sphere(n, seed, i), i < 12, at each n."""
+    return [
+        u
+        for n in dims
+        for u in (sample_sphere(n, seed, i) for i in range(12))
+        if not criterion(u).satisfied
+    ]
+
+
 class TestBooleanShortcut:
     def test_matches_full_verdict(self):
         for tag in range(20):
@@ -1298,14 +1346,11 @@ class TestBooleanShortcut:
         # test, else min |s| over the sums of the multisets of t where they
         # are few, as for the maximizers, or one sort of the leading-sign
         # half sums
-        failing = [
-            u
-            for n in range(20, 29)
-            for u in (sample_sphere(n, 0, i) for i in range(12))
-            if not criterion(u).satisfied
-        ]
+        failing = failing_sphere_points(range(20, 29), 0)
         assert {u.n for u in failing} == set(range(20, 29))
         cases = [maximizer(n) for n in range(1, 29)] + distinct_row_cases() + failing
+        cases += failing_sphere_points(range(12, 17), 3)
+        cases += [u for _, u in few_multiset_cases()]
         refs = [enumerate_shadows(u).exists_inside for u in cases]
         assert 0 < sum(refs) < len(refs)
 
@@ -1316,6 +1361,57 @@ class TestBooleanShortcut:
             monkeypatch.setattr(oracle, name, searched)
         for u, ref in zip(cases, refs):
             assert any_vertex_inside(u) is ref, u.coords
+
+    def test_the_queries_agree_on_either_side_of_the_class_bound(self):
+        # criterion-failing sphere points, whose distinct magnitudes make
+        # 2^n multisets, and directions whose multisets straddle the bound:
+        # any_vertex_inside, min_abs_inner_product and the verdict agree,
+        # and, up to n = 14, the naive reference gives the same bits
+        failing = failing_sphere_points(range(12, 17), 3)
+        assert {u.n for u in failing} == set(range(12, 17))
+        few = [u for _, u in few_multiset_cases()]
+        inside = []
+        for u in failing + few:
+            v = enumerate_shadows(u)
+            inside.append(any_vertex_inside(u))
+            assert inside[-1] is v.exists_inside, u.coords
+            assert min_abs_inner_product(u) == v.min_abs_inner_product, u.coords
+            assert v.exists_inside or not v.orthogonal_vertex_found, u.coords
+            if u.n <= 14:
+                assert verdicts_equal(v, enumerate_shadows_naive(u)), u.coords
+        assert not any(inside[: len(failing)])
+        assert 0 < sum(inside[len(failing) :]) < len(few)
+
+    def test_the_class_route_gives_min_abs_bytes_at_any_block_bits(self, monkeypatch):
+        # under the bound, the least |s| over the multisets' sums is
+        # _min_abs's, byte for byte; any_vertex_inside takes the sums there
+        # and _min_abs above it, whatever BLOCK_BITS, the chunk size of a
+        # search it never runs
+        cases, sums, taken = few_multiset_cases(), oracle._class_sums, []
+
+        def class_sums(classes):
+            taken.append(True)
+            return sums(classes)
+
+        routes = set()
+        for multisets, u in cases:
+            uq = _snap(u.coords[None])
+            classes, counted = oracle._classes(uq[0].tolist())
+            assert counted == multisets, u.coords
+            if multisets <= 1 << (u.n - u.n // 2):
+                least = np.abs(sums(classes)).min()
+                assert least.tobytes() == oracle._min_abs(uq)[0].tobytes(), u.coords
+        monkeypatch.setattr(oracle, "_class_sums", class_sums)
+        for bits in (3, 8, 14):
+            monkeypatch.setattr(oracle, "BLOCK_BITS", bits)
+            for multisets, u in cases:
+                taken.clear()
+                decided = oracle._front(u, oracle.DEFAULT_LIMIT)[3]
+                any_vertex_inside(u)
+                under = multisets <= 1 << (u.n - u.n // 2)
+                assert len(taken) == (under and not decided), (u.coords, bits)
+                routes.add((under, decided))
+        assert routes == {(True, False), (False, False), (False, True)}
 
 
 class TestAgreementSweep:
