@@ -22,7 +22,10 @@ stack T directions on a leading axis through the same function. Partial
 sums are exact, and max and min return an operand, numpy's the second on
 a tie of +0 and -0, so the tables have the bits of one sign matrix per
 half, zeros' signs included. Rows are in lexicographic order (+1 before
--1), so pair (a, b) has code a 2^|B| + b, the tie rule's order.
+-1), so pair (a, b) has code a 2^|B| + b, the tie rule's order. A table
+may carry its rows' codes as a fourth entry, A's shifted by |B| bits,
+which _pair sums into the pair's code; its best vertex is its least norm
+by the kernel's formula and the smallest code at that norm (_least).
 
 Halving: row 2^k - 1 - a of a half negates row a and its sum, so the sums
 of A and of B are closed under negation, and min |<eps, u>|, min |a + b|
@@ -73,9 +76,10 @@ searched direction has a sign-matched norm of 1 or more, so by the sign
 lemma beta >= 1, and n >= 2, as the one coordinate +-1 of n = 1 has the
 norm 0, so neither half is empty. The kernel, _blocks, evaluates with
 the same formula only the pairs that can reach a sup-norm <= beta
-(_windows), so the minimum and all its ties survive. A chunk's tied
-vertices yield their smallest code, and the least (norm, code) over the
-chunks wins, so any chunk size gives the same verdict. No pass is dense:
+(_windows), so the minimum and all its ties survive. Each chunk, a run
+of A-rows paired with a slice of B, yields its _least, and the least
+(norm, code) of the chunks wins, so any chunk size gives the same
+verdict. No pass is dense:
 half tables whose pairs fit in one chunk make no more multisets than
 that, which the whole table takes.
 
@@ -87,9 +91,8 @@ whole direction has at most 2^BLOCK_BITS multisets, the product of c + 1
 over its classes of c equal nonzero magnitudes (_classes, one dict lookup
 per coordinate of the floats that _sign_matched reads), one table over
 all n coordinates is the search: a row's smallest row is its vertex code,
-best_inf_norm is the least of the rows' norms by the kernel's formula,
-best_vertex the smallest code among the rows at that norm, and min
-|<eps, u>| the least |s|. maximizer(n) has 2n rows: the large
+the best vertex the table's _least, and min |<eps, u>| the least |s|.
+maximizer(n) has 2n rows: the large
 coordinate's 2 with the n rows of the n - 1 equal ones. Otherwise the
 search builds each half table so, and as a code is a 2^|B| + b, the
 smallest code among tied class pairs is that of their smallest rows: the
@@ -212,8 +215,7 @@ def _pair(lead, trail):
     """The table of every row of lead, the high bits, with every row of
     trail, along their last axis, so stacks of T directions pair row by
     row: outer sums of s, maxima of t_max and minima of t_min, and sums of
-    the row indexes that a fourth entry may carry, whose bits are
-    disjoint."""
+    the codes that a fourth entry may carry (the module's Tables)."""
     return tuple(
         op(x[..., :, None], y[..., None, :]).reshape(*x.shape[:-1], -1)
         for op, x, y in zip((np.add, np.maximum, np.minimum, np.add), lead, trail)
@@ -287,16 +289,16 @@ def _class_sums(classes: dict) -> np.ndarray:
 
 
 def _distinct_tables(uq: np.ndarray):
-    """The tables of one snapped direction uq, shape (1, n), with one row
-    per distinct multiset of t in each half (_class_table), both 1-D and in
-    order of s, and the row of the full half that each entry stands for."""
+    """The tables (s, t_max, t_min, code) of the halves of one snapped
+    direction uq, shape (1, n), one row per distinct multiset of t
+    (_class_table), 1-D, in order of s, and coded (the module's Tables)."""
     h = uq.shape[1] // 2
     halves = []
-    for v in (uq[0, :h], uq[0, h:]):
+    for v, w in ((uq[0, :h], uq.shape[1] - h), (uq[0, h:], 0)):
         *table, rows = _class_table(v, _classes(v.tolist())[0])
         order = np.argsort(table[0])
-        halves.append((tuple(x[order] for x in table), rows[order]))
-    return tuple(zip(*halves))
+        halves.append((*(x[order] for x in table), rows[order] << w))
+    return halves
 
 
 def _min_abs_sums(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
@@ -342,13 +344,21 @@ def _nearest(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
 def _norms(s: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """The kernel's formula, max(|1 - s hi|, |1 - s lo|): the sup-norms of
     vertices with sums s and extreme t hi and lo (the module's Tables), in
-    place in hi and lo, which the caller owns: new arrays made _blocks 15%
-    slower at n = 20..24 and the n = 36 search peak 8 MiB higher. On one
-    row its seven calls cost more than the work, so _sign_matched applies
-    the formula to Python floats, with the same bits."""
+    place in hi and lo, which the caller owns: new arrays made the search
+    15% slower at n = 20..24 and the n = 36 search peak 8 MiB higher. On
+    one row its seven calls cost more than the work, so _sign_matched
+    applies the formula to Python floats, with the same bits."""
     for t in (hi, lo):
         np.abs(np.subtract(1.0, np.multiply(s, t, out=t), out=t), out=t)
     return np.maximum(hi, lo, out=hi)
+
+
+def _least(s, hi, lo, codes):
+    """(norm, code) of the best vertex of a coded table, by the tie rule:
+    its least norm (_norms, in place) and the smallest code at it."""
+    norms = _norms(s, hi, lo)
+    low = norms.min()
+    return float(low), int(codes[norms == low].min())
 
 
 def _sign_matched(xs: list) -> float:
@@ -367,7 +377,7 @@ def _bound(tables, matched: float):
     -a (_nearest): their least |s|, exactly, and beta the smallest norm
     (_norms) of them and of that vertex, each the norm of a vertex, so an
     upper bound at or above the best norm."""
-    (sa, hia, loa), (sb, hib, lob) = tables
+    (sa, hia, loa, _), (sb, hib, lob, _) = tables
     j = _nearest(sa, sb)
     s = sa + sb[j]
     norms = _norms(s, np.maximum(hia, hib[j]), np.minimum(loa, lob[j]))
@@ -391,7 +401,7 @@ def _windows(tables, beta):
     nothing, so it needs no mask. No half is empty, so every t is finite. A
     row whose interval misses the sums of B gets start >= stop.
     """
-    (sa, hia, loa), (sb, _, _) = tables
+    (sa, hia, loa, _), (sb, *_) = tables
     b = beta + (1.0 + beta) * _SLACK
     lo, hi = -np.inf, np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -430,22 +440,17 @@ def _runs(start, stop, cap):
 
 
 def _blocks(tables, beta):
-    """Yields ((A-rows, B-slab), shadow sup-norms of shape (A-rows, B-slab))
-    for chunks of about 2^BLOCK_BITS vertices of one direction that hold
-    every vertex whose sup-norm is <= beta. A-rows number rows of A and the
-    B-slab is a slice of B, which is in order of s (_distinct_tables): runs
-    of A-rows, in order of their windows' starts (_windows), each with the
-    slab that its rows' windows span (_runs)."""
-    (sa, hia, loa), (sb, hib, lob) = tables
+    """Yields the best (norm, code) (_least) of each chunk of about
+    2^BLOCK_BITS vertices of one direction, the chunks together holding
+    every vertex whose sup-norm is <= beta: runs of A-rows, in order of
+    their windows' starts (_windows), each paired (_pair) with the slice
+    of B, in order of s, that its rows' windows span (_runs)."""
     start, stop = _windows(tables, beta)
     rows = np.flatnonzero(stop > start)
     rows = rows[np.argsort(start[rows], kind="stable")]
-    sa, hia, loa = (x[rows] for x in (sa, hia, loa))
+    a = [x[rows] for x in tables[0]]
     for i, j, c0, c1 in _runs(start[rows], stop[rows], 1 << BLOCK_BITS):
-        r, c = slice(i, j), slice(c0, c1)
-        hi = np.maximum(hia[r, None], hib[c])
-        lo = np.minimum(loa[r, None], lob[c])
-        yield (rows[r], c), _norms(sa[r, None] + sb[c], hi, lo)
+        yield _least(*_pair([x[i:j] for x in a], [x[c0:c1] for x in tables[1]]))
 
 
 def _verdict(inside, best_inf, best_vertex: Vertex, min_abs_ip) -> OracleVerdict:
@@ -485,20 +490,13 @@ def enumerate_shadows(u: UnitVector, n_limit: int = DEFAULT_LIMIT) -> OracleVerd
         return _verdict(True, matched, best, _min_abs(uq)[0])
     classes, multisets = _classes(xs)
     if multisets <= 1 << BLOCK_BITS:  # one row per multiset, no pairs
-        s, hi, lo, codes = _class_table(uq[0], classes)
-        infs = _norms(s, hi, lo)
-        best_inf, min_abs_ip = infs.min(), np.abs(s).min()
-        best_code = int(codes[infs == best_inf].min())
+        table = _class_table(uq[0], classes)
+        min_abs_ip = np.abs(table[0]).min()
+        best_inf, best_code = _least(*table)
     else:
-        tables, (ia, ib) = _distinct_tables(uq)
-        w = u.n - u.n // 2
-        best_inf, best_code = np.inf, 1 << u.n
+        tables = _distinct_tables(uq)
         min_abs_ip, beta = _bound(tables, matched)
-        for (rows, slab), infs in _blocks(tables, beta):
-            low = infs.min()
-            r, c = np.nonzero(infs == low)
-            code = int(((ia[rows][r] << w) + ib[slab][c]).min())
-            best_inf, best_code = min((best_inf, best_code), (float(low), code))
+        best_inf, best_code = min(_blocks(tables, beta))
     inside = inside or min_abs_ip == 0.0
     return _verdict(inside, best_inf, _vertex_from_code(best_code, u.n), min_abs_ip)
 

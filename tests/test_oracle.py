@@ -8,6 +8,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import astuple
 from fractions import Fraction
+from itertools import permutations
 from itertools import product as sign_patterns
 
 import numpy as np
@@ -182,6 +183,23 @@ def distinct_row_cases():
     return cases
 
 
+def integer_fuzz_cases():
+    """Integer directions, n = 2..10 and coordinates in [-4, 4], scaled by
+    3, 1/3, 1e200 and 1e-200 before they are normalized: ties, zeros and
+    vertices orthogonal to u, on floats that are not the integers' ratios
+    bit for bit."""
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([97, 9000], dtype=np.uint64))
+    )
+    cases = []
+    for n in range(2, 11):
+        for _ in range(16):
+            v = rng.integers(-4, 5, size=n).astype(np.float64)
+            if v.any():
+                cases += [UnitVector(v * c) for c in (3.0, 1 / 3, 1e200, 1e-200)]
+    return cases
+
+
 def reference_t(uq):
     """t = eps u of each half of snapped directions uq, shape (T, n), as
     arrays of shape (size, T, 2^size) from an explicit sign matrix: row a
@@ -218,7 +236,7 @@ def pair_norms(tables, rows=slice(None)):
     """The shadow sup-norm of every pair of the A-rows rows with every
     B-row of one direction's half tables, shape (A-rows, B-rows), by the
     kernel's formula: a dense pass over all pairs."""
-    (sa, hia, loa), (sb, hib, lob) = tables
+    (sa, hia, loa, *_), (sb, hib, lob, *_) = tables
     s = sa[rows, None] + sb
     hi, lo = np.maximum.outer(hia[rows], hib), np.minimum.outer(loa[rows], lob)
     return np.maximum(np.abs(1.0 - s * hi), np.abs(1.0 - s * lo))
@@ -292,7 +310,7 @@ class TestHalfTables:
 
 class TestPrunedKernel:
     def test_pruned_entry_points_match_the_naive_reference_bitwise(self, monkeypatch):
-        cases = pruned_kernel_cases() + distinct_row_cases()
+        cases = pruned_kernel_cases() + distinct_row_cases() + integer_fuzz_cases()
         refs = [enumerate_shadows_naive(u) for u in cases]
         assert sum(r.min_abs_inner_product == 0.0 for r in refs) > 0  # orthogonal
         outside = sum(not r.exists_inside for r in refs)
@@ -301,7 +319,7 @@ class TestPrunedKernel:
             uq = _snap(u.coords[None])
             matched = oracle._sign_matched(uq[0].tolist())
             if matched >= 1.0:
-                tables, _ = oracle._distinct_tables(uq)
+                tables = oracle._distinct_tables(uq)
                 min_abs, bound = oracle._bound(tables, matched)
                 assert min_abs == ref.min_abs_inner_product, u.coords
                 assert ref.best_inf_norm <= bound <= matched, u.coords
@@ -320,15 +338,17 @@ class TestPrunedKernel:
         # criterion-holding direction evaluates none, and of a failing one,
         # with 2^20 multisets of t, a finite bound and a small share of the
         # pairs of its half tables, where a dense pass would take them all
-        blocks, pairs, dense = oracle._blocks, [], []
+        blocks, least, pairs, dense = oracle._blocks, oracle._least, [], []
 
         def pruned_only(tables, beta):
             assert beta < np.inf
-            (sa, _, _), (sb, _, _) = tables
+            (sa, *_), (sb, *_) = tables
             dense.append(sa.size * sb.size)
-            for chunk in blocks(tables, beta):
-                pairs.append(chunk[1].size)
-                yield chunk
+            yield from blocks(tables, beta)
+
+        def counted(s, hi, lo, codes):
+            pairs.append(len(codes))
+            return least(s, hi, lo, codes)
 
         def searched(*_):
             raise AssertionError("search")
@@ -340,6 +360,7 @@ class TestPrunedKernel:
         assert not any_vertex_inside(maximizer(20))
         assert any_vertex_inside(u) and any_vertex_inside(u_of(6, *[2] * 6, *[1] * 4))
         monkeypatch.setattr(oracle, "_blocks", pruned_only)
+        monkeypatch.setattr(oracle, "_least", counted)
         assert verdicts_equal(enumerate_shadows(u), refs[0])
         assert pairs == []
         assert verdicts_equal(enumerate_shadows(v), refs[1])
@@ -355,7 +376,7 @@ class TestPrunedKernel:
 
         def checked(tables, beta):
             assert beta >= 1.0
-            for _, hi, lo in tables:
+            for _, hi, lo, _ in tables:
                 assert np.isfinite(hi).all() and np.isfinite(lo).all()
             betas.append(beta)
             return windows(tables, beta)
@@ -381,7 +402,7 @@ class TestPrunedKernel:
             if u.n == 1:
                 continue
             uq = _snap(u.coords[None])
-            tables, _ = oracle._distinct_tables(uq)
+            tables = oracle._distinct_tables(uq)
             infs = pair_norms(tables)
             norms = np.unique(infs)
             for beta in norms[:: max(1, len(norms) // 16)]:
@@ -403,6 +424,33 @@ class TestPrunedKernel:
                 want = oracle._min_abs_sums(*oracle._sums(uq))[0]
                 v = enumerate_shadows(u, oracle.MAX_LIMIT)
                 assert v.min_abs_inner_product == want, (n, seed)
+
+    def test_least_takes_the_smallest_code_at_the_least_norm(self):
+        # rows 0, 2 and 3 tie at the least norm, 0, with their codes out of
+        # order; row 1 has the smaller code 1 at norm 1, and row 4 the code 0
+        # at norm 8; in any row order, _least gives the code 4, as Python
+        # numbers, then on random tables with many ties the least (norm,
+        # code) of a brute force over the rows
+        table = (
+            np.array([2.0, 0.0, 2.0, 2.0, 1.0]),
+            np.array([0.5, 0.3, 0.5, 0.5, 9.0]),
+            np.array([0.5, -0.3, 0.5, 0.5, 9.0]),
+            np.array([9, 1, 4, 7, 0]),
+        )
+        for order in permutations(range(5)):
+            norm, code = oracle._least(*(x[list(order)] for x in table))
+            assert (norm, code) == (0.0, 4) and type(norm) is float
+            assert type(code) is int
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            s = rng.integers(-4, 5, 64) / 2.0
+            hi, lo = np.sort(rng.integers(-2, 3, (2, 64)) / 2.0, axis=0)[::-1]
+            codes = rng.permutation(64)
+            want = min(
+                (max(abs(1.0 - x * t_hi), abs(1.0 - x * t_lo)), int(c))
+                for x, t_hi, t_lo, c in zip(s, hi, lo, codes)
+            )
+            assert oracle._least(s, hi.copy(), lo.copy(), codes) == want
 
     def test_runs_cover_every_row_within_the_cap(self):
         rng = np.random.default_rng(11)
@@ -430,9 +478,10 @@ class TestDistinctRows:
         # class build keeps exactly those first rows, with that triple
         for u in pruned_kernel_cases() + distinct_row_cases():
             uq = _snap(u.coords[None])
-            (a, b), kept = oracle._distinct_tables(uq)
+            a, b = oracle._distinct_tables(uq)
+            kept = (a[3] >> (u.n - u.n // 2), b[3])
             assert (np.diff(a[0]) >= 0).all() and (np.diff(b[0]) >= 0).all()
-            halves = zip(reference_t(uq), reference_tables(uq), kept, (a, b))
+            halves = zip(reference_t(uq), reference_tables(uq), kept, (a[:3], b[:3]))
             for t, ref, rows, table in halves:
                 first = {}
                 for row in range(t.shape[2]):
@@ -443,6 +492,23 @@ class TestDistinctRows:
                 for i, row in enumerate(rows.tolist()):
                     triple = [x[i] for x in table]
                     assert triple == [x[0, row] for x in ref], (u.coords, row)
+
+    def test_a_pair_of_codes_is_the_vertex_of_the_pair(self):
+        # A's codes are its rows shifted by |B| bits, so the pair of an
+        # A-row and a B-row has the code a + b of a vertex whose own t = eps
+        # u has that pair's (s, t_max, t_min), up to the sign of a zero,
+        # which no norm or sum sees
+        for u in distinct_row_cases():  # n = 2..14
+            n = u.n
+            uq = _snap(u.coords[None])
+            a, b = oracle._distinct_tables(uq)
+            paired = oracle._pair(a, b)
+            assert (paired[3] == np.add.outer(a[3], b[3]).ravel()).all()
+            for k, code in enumerate(paired[3].tolist()):
+                t = oracle._vertex_from_code(code, n).signs * uq[0]
+                want = np.array([t.sum(), t.max(), t.min()]) + 0.0
+                got = np.array([x[k] for x in paired[:3]]) + 0.0
+                assert want.tobytes() == got.tobytes(), (u.coords, code)
 
     def test_tables_that_fit_one_chunk_run_no_search(self, monkeypatch):
         # half tables whose pairs fit in one chunk have no more multisets of
@@ -455,7 +521,7 @@ class TestDistinctRows:
         refs = [enumerate_shadows_naive(u) for u in cases]
         for u in cases:
             uq = _snap(u.coords[None])
-            (a, b), _ = oracle._distinct_tables(uq)
+            a, b = oracle._distinct_tables(uq)
             assert a[0].size * b[0].size <= 1 << oracle.BLOCK_BITS, u.coords
             _, multisets = oracle._classes(uq[0].tolist())
             assert multisets <= a[0].size * b[0].size, u.coords
@@ -672,20 +738,20 @@ class TestSignLemma:
         # 2^n pairs, 256 A-rows at a time, gives the best norm and its
         # smallest tied code, and the merged sort of the half sums min |s|
         for n in (22, 24):
-            w = n - n // 2
             for seed in (0, 2, 3):
                 u = sample_sphere(n, seed)
                 uq = _snap(u.coords[None])
                 assert oracle._sign_matched(uq[0].tolist()) < 1.0, (n, seed)
-                tables, (ia, ib) = oracle._distinct_tables(uq)
+                tables = oracle._distinct_tables(uq)
+                (*_, ca), (*_, cb) = tables
                 abs_ip = float(oracle._min_abs_sums(*oracle._sums(uq))[0])
                 best_inf, best_code = np.inf, None
-                for i in range(0, len(ia), 256):
+                for i in range(0, len(ca), 256):
                     infs = pair_norms(tables, slice(i, i + 256))
                     low = infs.min()
                     if low <= best_inf:
                         r, c = np.nonzero(infs == low)
-                        code = int(((ia[i:][r] << w) + ib[c]).min())
+                        code = int((ca[i:][r] + cb[c]).min())
                         if low < best_inf or code < best_code:
                             best_inf, best_code = float(low), code
                 v = enumerate_shadows(u)
